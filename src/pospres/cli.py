@@ -159,6 +159,11 @@ def cmd_compose(args, out) -> int:
 
 
 def cmd_seq(args, out) -> int:
+    needed = ("a", "b") if args.seq_op in ("conv", "hadamard") else ("seq",)
+    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
+    if missing:
+        print(f"error: seq {args.seq_op} needs {' and '.join(missing)}", file=sys.stderr)
+        return 2
     if args.seq_op in ("conv", "hadamard"):
         s = _load_sequence(args.a)
         t = _load_sequence(args.b)
@@ -174,12 +179,9 @@ def cmd_seq(args, out) -> int:
             print(",".join(_fmt(v) for v in row), file=out)
         print(f"minEig={_fmt(lam)} psd={'yes' if ok else 'no'}", file=out)
         return 0 if ok else 1
-    if args.seq_op == "carleman":
-        s = _load_sequence(args.seq)
-        print(momseq.carleman_indicator(s, args.terms), file=out)
-        return 0
-    print(f"error: unknown seq operation {args.seq_op!r}", file=sys.stderr)
-    return 2
+    s = _load_sequence(args.seq)  # carleman, the last of the parser's choices
+    print(momseq.carleman_indicator(s, args.terms), file=out)
+    return 0
 
 
 def cmd_tau_sigma(args, out) -> int:

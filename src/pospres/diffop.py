@@ -26,8 +26,6 @@ from .polyalg import (
     graded_key,
     iter_multiindices,
     iter_multiindices_leq,
-    mi_add,
-    mi_binom,
     mi_degree,
     mi_factorial,
     mi_perm,
@@ -157,9 +155,6 @@ class DiffOp:
 
     def coefficient(self, alpha: MultiIndex) -> Poly:
         return self.coeffs.get(tuple(alpha), Poly.zero(self.n))
-
-    def usable_order(self) -> int | None:
-        return self.max_order
 
     def _require_order(self, needed: int, what: str):
         if self.max_order is not None and self.max_order < needed:
@@ -306,15 +301,19 @@ def compose(T: DiffOp, S: DiffOp, d: int) -> DiffOp:
     return canonical_from_action(OpMatrix(mt.basis, mt.entries @ ms.entries))
 
 
-def _solve_coefficient_recursion(T: DiffOp, d: int) -> DiffOp:
-    """Inverse via the coefficient recursion b_0 = 1/a_0, then per-index solves.
+def invert(T: DiffOp, d: int) -> DiffOp:
+    """Two-sided inverse of T on R[x]_{<=d}.
 
-    For the composition T o B = 1 the degree-|alpha| equation reads
-    ``a_0 b_alpha + sum_{beta>0} a_beta d^beta b_alpha = -(known lower terms)``;
-    with constant coefficients the left side is just a_0 b_alpha and the
-    recursion is an explicit convolution, otherwise each step is a small
-    linear solve on R[x]_{<=|alpha|}.
+    For the composition T o B = 1 with constant coefficients the
+    degree-|alpha| equation reads ``a_0 b_alpha = -sum_{0<beta<=alpha}
+    a_beta b_{alpha-beta}``, an explicit convolution recursion from
+    b_0 = 1/a_0; it is exact and keeps the result structurally constant.
+    Otherwise the degree-d matrix restriction is inverted and the
+    coefficient table recovered by ``canonical_from_action``.
     """
+    if T.q0 == 0.0:
+        raise NotInvertibleError("q_0 = 0: operator has no inverse")
+    T._require_order(d, "invert")
     n = T.n
     a0 = T.q0
     if T.has_constant_coefficients():
@@ -334,61 +333,14 @@ def _solve_coefficient_recursion(T: DiffOp, d: int) -> DiffOp:
             b[alpha] = -acc / a0
         return DiffOp.from_constant_table(b, n, max_order=d)
 
-    coeffs: dict = {(0,) * n: Poly.constant(n, 1.0 / a0)}
-    zero = (0,) * n
-    for alpha in iter_multiindices(n, d):
-        if alpha == zero:
-            continue
-        deg = mi_degree(alpha)
-        # known contributions from strictly lower-degree b_gamma
-        known = Poly.zero(n)
-        for gamma in iter_multiindices_leq(alpha):
-            if gamma == alpha or gamma not in coeffs:
-                continue
-            b_gamma = coeffs[gamma]
-            shift = mi_sub(alpha, gamma)  # beta - kappa
-            kbound = int(max(b_gamma.degree, 0))
-            for kappa in iter_multiindices(n, kbound):
-                beta = mi_add(kappa, shift)
-                a_beta = T.coeffs.get(beta)
-                if a_beta is None:
-                    continue
-                dk = b_gamma.derive(kappa)
-                if dk.is_zero():
-                    continue
-                known = known + a_beta * dk * float(mi_binom(beta, kappa))
-        # solve (a_0 + sum_{beta>0} a_beta d^beta) b_alpha = -known on R[x]_{<=deg}
-        sub = BasisMap(n, deg)
-        L = np.zeros((sub.dim, sub.dim))
-        for j, e in enumerate(sub.indices):
-            mono = Poly.monomial(n, e)
-            img = mono * a0
-            for beta, a_beta in T.coeffs.items():
-                if mi_degree(beta) == 0:
-                    continue
-                dm = mono.derive(beta)
-                if not dm.is_zero():
-                    img = img + a_beta * dm
-            L[:, j] = sub.poly_to_vec(img)
-        rhs = -sub.poly_to_vec(known)
-        try:
-            sol = np.linalg.solve(L, rhs)
-        except np.linalg.LinAlgError:
-            raise NotInvertibleError(
-                f"coefficient recursion singular at index {alpha}; "
-                "operator is not invertible on this restriction")
-        q = sub.vec_to_poly(sol)
-        if not q.is_zero():
-            coeffs[alpha] = q
-    return DiffOp(n, coeffs, max_order=d)
-
-
-def invert(T: DiffOp, d: int) -> DiffOp:
-    """Two-sided inverse of T on R[x]_{<=d} via the coefficient recursion."""
-    if T.q0 == 0.0:
-        raise NotInvertibleError("q_0 = 0: operator has no inverse")
-    T._require_order(d, "invert")
-    return _solve_coefficient_recursion(T, d)
+    M = matrix_rep(T, d)
+    try:
+        inv = np.linalg.solve(M.entries, np.eye(M.basis.dim))
+    except np.linalg.LinAlgError:
+        raise NotInvertibleError(
+            f"matrix restriction to degree {d} is singular; "
+            "operator is not invertible on this restriction")
+    return canonical_from_action(OpMatrix(M.basis, inv))
 
 
 def exp_op(A: DiffOp, t: float, d: int) -> DiffOp:
@@ -529,8 +481,3 @@ def format_operator(T: DiffOp) -> str:
 def read_operator(path, n: int | None = None) -> DiffOp:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_operator(fh.read(), n)
-
-
-def write_operator(path, T: DiffOp) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_operator(T))

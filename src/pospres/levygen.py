@@ -302,14 +302,23 @@ def check_finite_order_generator(A: DiffOp, ys, tol: float = 1e-10) -> Preserver
     return PreserverVerdict(INCONCLUSIVE, (), checked)
 
 
+def _require_nonempty(lambdas, trials, grid) -> None:
+    """A falsifier over an empty lambda, trial or grid list would check nothing."""
+    for name, items in (("lambda", lambdas), ("trial", trials), ("grid", grid)):
+        if len(items) == 0:
+            raise ValueError(f"empty {name} list: the check would evaluate nothing")
+
+
 def resolvent_check(A: DiffOp, d: int, lambdas, trials, grid,
                     tol: float = 1e-12) -> PreserverVerdict:
     """Falsifier for the resolvent condition (1 - lambda A_d)^{-1} C_d in C_d.
 
     Solves (1 - lambda A_d) q = p on the degree-d restriction for each
     nonnegative trial p and scans the grid for negative values of q.  A
-    singular system at some lambda is recorded, not fatal.
+    singular system at some lambda is recorded, not fatal.  Empty lists
+    raise ValueError.
     """
+    _require_nonempty(lambdas, trials, grid)
     M = matrix_rep(A, d)
     dim = M.basis.dim
     witnesses = []
@@ -347,10 +356,11 @@ def one_plus_check(A: DiffOp, d: int, lambdas, trials, grid,
 
     All-pass at small lambda supports A generating a cone-preserving
     semigroup (the sufficient direction); reported inconclusive with the
-    lambda range in the summary.
+    lambda range in the summary.  Empty lists raise ValueError.
     """
     witnesses = []
     lams = [float(l) for l in lambdas]
+    _require_nonempty(lams, trials, grid)
     for lam in lams:
         for p in trials:
             if p.degree > d:
@@ -363,8 +373,7 @@ def one_plus_check(A: DiffOp, d: int, lambdas, trials, grid,
                     witnesses.append(Witness(kind=f"1+lambda*A at lambda={lam:g}",
                                              trial=p, point=tuple(x), value=v))
                     break
-    checked = (f"(1 + lambda A) p scan, lambda in [{min(lams):g}, {max(lams):g}]"
-               if lams else "empty lambda list")
+    checked = f"(1 + lambda A) p scan, lambda in [{min(lams):g}, {max(lams):g}]"
     if witnesses:
         return PreserverVerdict(FAIL, tuple(witnesses), checked)
     return PreserverVerdict(INCONCLUSIVE, (), checked)

@@ -1,6 +1,9 @@
+import io
 from pathlib import Path
 
 import pytest
+
+from pospres import cli
 
 HERE = Path(__file__).parent
 
@@ -27,14 +30,18 @@ GOLDEN_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_golden_output(name, run_cli):
+def test_golden_output(name, run_cli, monkeypatch):
+    # one `python -m pospres` process and one in-process run: both must match
+    # the golden byte for byte, which also pins run-to-run determinism
     argv = GOLDEN_CASES[name]
-    first = run_cli(*argv)
-    second = run_cli(*argv)
-    assert first.returncode == 0, first.stderr
-    assert first.stdout == second.stdout  # run-to-run determinism
+    cp = run_cli(*argv)
+    assert cp.returncode == 0, cp.stderr
+    monkeypatch.chdir(HERE)
+    out = io.StringIO()
+    assert cli.run(argv, out) == 0
     golden = (HERE / "golden" / f"{name}.txt").read_text()
-    assert first.stdout == golden
+    assert cp.stdout == golden
+    assert out.getvalue() == golden
 
 
 def test_exit_code_fail_with_witnesses(run_cli):
@@ -52,6 +59,14 @@ def test_exit_code_usage_error(run_cli):
     cp = run_cli("exp", "--op", "data/bad.op", "--t", "1", "--d", "2")
     assert cp.returncode == 2
     assert "error" in cp.stderr.lower()
+    for argv in (["seq", "conv", "--a", "data/d1.seq"],
+                 ["seq", "hadamard", "--b", "data/d2.seq"],
+                 ["seq", "hankel", "--d", "2"],
+                 ["seq", "carleman"],
+                 ["resolvent", "--op", "data/heat.op", "--d", "1"]):  # no trial fits
+        cp = run_cli(*argv)
+        assert cp.returncode == 2, argv
+        assert cp.stderr.startswith("error: ") and "Traceback" not in cp.stderr, argv
 
 
 def test_tau_drift_cli_bracket_inside_published_interval(run_cli):

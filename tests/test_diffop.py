@@ -266,11 +266,26 @@ def test_invert_rejects_zero_constant_term():
         invert(DiffOp.partial(1, (1,)), 3)
 
 
+def test_invert_of_exp_with_rounding_dust():
+    # exp_op leaves 1e-16 positive-degree dust on the constant-coefficient heat
+    # flow, so its inverse goes through the non-constant (matrix) route
+    heat2 = DiffOp(2, {(2, 0): 0.5, (0, 2): 0.5})
+    E = exp_op(heat2, 1.0, 8)
+    assert not E.has_constant_coefficients()
+    got = matrix_rep(invert(E, 8), 8).entries
+    want = matrix_rep(exp_op(heat2, -1.0, 8), 8).entries
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
 def test_invert_detects_kernel_at_truncation():
     # 1 - x d kills x even though q_0 = 1
     T = DiffOp(1, {(0,): 1.0, (1,): -1.0 * X})
     with pytest.raises(NotInvertibleError):
         invert(T, 3)
+    # 1 - x1 d1 kills x1 * x2^k in two variables
+    T2 = DiffOp(2, {(0, 0): 1.0, (1, 0): -1.0 * Poly.variable(2, 0)})
+    with pytest.raises(NotInvertibleError):
+        invert(T2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,16 @@ def test_one_plus_zero_operator_passes():
     assert v.status == INCONCLUSIVE
 
 
+@pytest.mark.parametrize("check", [resolvent_check, one_plus_check])
+@pytest.mark.parametrize("empty", ["lambdas", "trials", "grid"])
+def test_falsifier_rejects_empty_lists(check, empty):
+    # an empty list would check nothing, so no verdict may be reported
+    lists = {"lambdas": [0.1], "trials": [X * X], "grid": GRID}
+    lists[empty] = []
+    with pytest.raises(ValueError, match="empty"):
+        check(DiffOp(1, {(2,): 1.0}), 4, **lists)
+
+
 # ---------------------------------------------------------------------------
 # pointwise-sufficient field check
 # ---------------------------------------------------------------------------
