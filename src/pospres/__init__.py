@@ -30,7 +30,6 @@ from .diffop import (
     log_op,
     matrix_rep,
     parse_operator,
-    read_operator,
 )
 from .momseq import (
     DiscreteMeasure,

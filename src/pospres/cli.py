@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import diffop, eventual, levygen, momseq, preserver
-from .polyalg import Poly, parse_poly
+from .polyalg import format_point, parse_poly
 
 
 def _fmt(x: float) -> str:
@@ -23,8 +23,8 @@ def _fmt(x: float) -> str:
 def _parse_range(text: str):
     """LO:HI:N -> (lo, hi, n)."""
     parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"expected LO:HI:N, got {text!r}")
+    if len(parts) != 3 or int(parts[2]) < 1:
+        raise ValueError(f"expected LO:HI:N with N >= 1, got {text!r}")
     return float(parts[0]), float(parts[1]), int(parts[2])
 
 
@@ -38,21 +38,17 @@ def _print_verdict(v, out) -> int:
         print(f"checked: {v.checked}", file=out)
     for w in v.witnesses:
         if w.kind == "grid" or w.trial is not None:
-            pt = "(" + ",".join(_fmt(x) for x in w.point) + ")"
+            pt = format_point(w.point)
             print(f"FAIL trial={w.trial} x={pt} value={_fmt(w.value)}", file=out)
         else:
-            pt = "(" + ",".join(_fmt(x) for x in w.y) + ")" if w.y is not None else "()"
+            pt = format_point(w.y) if w.y is not None else "()"
             print(f"FAIL y={pt} d={w.d} minEig={_fmt(w.min_eigenvalue)}", file=out)
     return 1 if v.status == preserver.FAIL else 0
 
 
-def _load_operator(path) -> diffop.DiffOp:
-    return diffop.read_operator(path)
-
-
-def _load_sequence(path) -> momseq.MomentSeq:
+def _load(parse, path, **kw):
     with open(path, "r", encoding="utf-8") as fh:
-        return momseq.parse_sequence(fh.read())
+        return parse(fh.read(), **kw)
 
 
 def _sample_points_from(ys_spec: str | None, n: int):
@@ -86,13 +82,11 @@ def _emit(rows, csv_path, out):
 
 def cmd_check_preserver(args, out) -> int:
     if (args.op is None) == (args.measure is None):
-        print("error: give exactly one of --op or --measure", file=sys.stderr)
-        return 2
+        raise ValueError("give exactly one of --op or --measure")
     if args.op is not None:
-        T = _load_operator(args.op)
+        T = _load(diffop.parse_operator, args.op)
     else:
-        with open(args.measure, "r", encoding="utf-8") as fh:
-            mu = momseq.parse_measure(fh.read())
+        mu = _load(momseq.parse_measure, args.measure)
         T = momseq.dop_from_seq(momseq.from_measure(mu, 2 * args.d + 1))
     K = preserver.parse_kdescriptor(args.K, n=T.n)
     if K.variant == preserver.FULL_SPACE:
@@ -106,13 +100,12 @@ def cmd_check_preserver(args, out) -> int:
             ys = [(y,) for y in preserver.chebyshev_points(max(lo, 0.0), hi, m)]
         verdict = preserver.check_preserver_halfline(T, args.d, ys, tol=args.tol)
     else:
-        print(f"error: no preserver check implemented for K = {args.K}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no preserver check implemented for K = {args.K}")
     return _print_verdict(verdict, out)
 
 
 def cmd_check_generator(args, out) -> int:
-    A = _load_operator(args.op)
+    A = _load(diffop.parse_operator, args.op)
     ys = _sample_points_from(args.ys, A.n)
     ts = _parse_list(args.t) if args.t else [1e-3, 1e-2, 1e-1, 1.0]
     verdict = levygen.check_generator_rn(A, args.d, ys, ts, tol=args.tol)
@@ -123,7 +116,7 @@ def cmd_check_generator(args, out) -> int:
 
 
 def cmd_resolvent(args, out) -> int:
-    A = _load_operator(args.op)
+    A = _load(diffop.parse_operator, args.op)
     lambdas = _parse_list(args.lam) if args.lam else [1e-3, 1e-2, 1e-1]
     K = preserver.KDescriptor.full(A.n)
     grid = _grid_from(args.grid, K)
@@ -134,26 +127,26 @@ def cmd_resolvent(args, out) -> int:
 
 
 def cmd_exp(args, out) -> int:
-    T = diffop.exp_op(_load_operator(args.op), args.t, args.d)
+    T = diffop.exp_op(_load(diffop.parse_operator, args.op), args.t, args.d)
     out.write(diffop.format_operator(T))
     return 0
 
 
 def cmd_log(args, out) -> int:
-    T = diffop.log_op(_load_operator(args.op), args.d)
+    T = diffop.log_op(_load(diffop.parse_operator, args.op), args.d)
     out.write(diffop.format_operator(T))
     return 0
 
 
 def cmd_invert(args, out) -> int:
-    T = diffop.invert(_load_operator(args.op), args.d)
+    T = diffop.invert(_load(diffop.parse_operator, args.op), args.d)
     out.write(diffop.format_operator(T))
     return 0
 
 
 def cmd_compose(args, out) -> int:
-    T = _load_operator(args.op)
-    S = _load_operator(args.op2)
+    T = _load(diffop.parse_operator, args.op)
+    S = _load(diffop.parse_operator, args.op2)
     out.write(diffop.format_operator(diffop.compose(T, S, args.d)))
     return 0
 
@@ -162,16 +155,15 @@ def cmd_seq(args, out) -> int:
     needed = ("a", "b") if args.seq_op in ("conv", "hadamard") else ("seq",)
     missing = [f"--{name}" for name in needed if getattr(args, name) is None]
     if missing:
-        print(f"error: seq {args.seq_op} needs {' and '.join(missing)}", file=sys.stderr)
-        return 2
+        raise ValueError(f"seq {args.seq_op} needs {' and '.join(missing)}")
     if args.seq_op in ("conv", "hadamard"):
-        s = _load_sequence(args.a)
-        t = _load_sequence(args.b)
+        s = _load(momseq.parse_sequence, args.a)
+        t = _load(momseq.parse_sequence, args.b)
         res = momseq.convolve(s, t) if args.seq_op == "conv" else momseq.hadamard(s, t)
         out.write(momseq.format_sequence(res))
         return 0
     if args.seq_op == "hankel":
-        s = _load_sequence(args.seq)
+        s = _load(momseq.parse_sequence, args.seq)
         w = parse_poly(args.w, s.n) if args.w else None
         M = momseq.moment_matrix(s, args.d, w)
         ok, lam = momseq.is_psd(M, tol=args.tol)
@@ -179,7 +171,7 @@ def cmd_seq(args, out) -> int:
             print(",".join(_fmt(v) for v in row), file=out)
         print(f"minEig={_fmt(lam)} psd={'yes' if ok else 'no'}", file=out)
         return 0 if ok else 1
-    s = _load_sequence(args.seq)  # carleman, the last of the parser's choices
+    s = _load(momseq.parse_sequence, args.seq)  # carleman, the last of the parser's choices
     print(momseq.carleman_indicator(s, args.terms), file=out)
     return 0
 
@@ -207,24 +199,20 @@ def cmd_tau_drift(args, out) -> int:
 
 def cmd_curve(args, out) -> int:
     lo, hi, m = _parse_range(args.grid)
-    ts = np.linspace(lo, hi, m)
-    if args.family == "sigma":
-        ts = [t for t in ts if t >= 0]
-        rows = eventual.sigma_curve_rows(ts)
-    else:
-        ts = [t for t in ts if t > 0]
-        rows = eventual.drift_curve_rows(args.a, ts)
+    sigma = args.family == "sigma"
+    ts = [t for t in np.linspace(lo, hi, m) if (t >= 0 if sigma else t > 0)]
+    if not ts:
+        raise ValueError(f"no time in --grid {args.grid} lies in the {args.family} curve's domain")
+    rows = eventual.sigma_curve_rows(ts) if sigma else eventual.drift_curve_rows(args.a, ts)
     _emit(rows, args.csv, out)
     return 0
 
 
 def cmd_levy_build(args, out) -> int:
-    with open(args.triple, "r", encoding="utf-8") as fh:
-        tr = levygen.parse_levy_triple(fh.read(), order=args.d)
+    tr = _load(levygen.parse_levy_triple, args.triple, order=args.d)
     if args.halfline:
         if tr.n != 1:
-            print("error: half-line build needs univariate data", file=sys.stderr)
-            return 2
+            raise ValueError("half-line build needs univariate data")
         A = levygen.generator_from_levy_halfline(tr.a0, float(tr.b[0]), tr.nu, args.d)
     else:
         A = levygen.generator_from_levy(tr, args.d)

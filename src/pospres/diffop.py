@@ -19,6 +19,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .polyalg import (
+    INDEX,
     BasisMap,
     DimensionMismatchError,
     MultiIndex,
@@ -30,8 +31,9 @@ from .polyalg import (
     mi_factorial,
     mi_perm,
     mi_sub,
-    parse_poly,
+    format_index,
     format_poly,
+    read_records,
 )
 
 
@@ -198,8 +200,7 @@ class DiffOp:
         return self + (other * -1.0)
 
     def __repr__(self):
-        body = "; ".join(f"[{','.join(map(str, a))}]={format_poly(q)}"
-                         for a, q in self.sorted_coeffs())
+        body = "; ".join(f"{format_index(a)}={format_poly(q)}" for a, q in self.sorted_coeffs())
         return f"DiffOp(n={self.n}, max_order={self.max_order}, {body or '0'})"
 
 
@@ -443,41 +444,11 @@ def build_substitution_preserver(p: list, s, D: int) -> DiffOp:
 
 def parse_operator(text: str, n: int | None = None) -> DiffOp:
     """Parse the operator file format; `#` starts a comment, missing indices are zero."""
-    entries = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line or not line.startswith("["):
-            raise ValueError(f"line {ln}: expected `[a1,...,an] = <poly>`")
-        head, body = line.split("=", 1)
-        head = head.strip()
-        if not head.endswith("]"):
-            raise ValueError(f"line {ln}: malformed index {head!r}")
-        alpha = tuple(int(tok) for tok in head[1:-1].split(","))
-        entries.append((ln, alpha, body.strip()))
-    if not entries:
-        return DiffOp.zero(n or 1)
-    arity = len(entries[0][1])
-    if n is not None and n != arity:
-        raise DimensionMismatchError(f"operator file has arity {arity}, expected {n}")
-    coeffs = {}
-    for ln, alpha, body in entries:
-        if len(alpha) != arity:
-            raise ValueError(f"line {ln}: inconsistent index length")
-        q = parse_poly(body, arity)
-        if alpha in coeffs:
-            raise ValueError(f"line {ln}: duplicate index {alpha}")
-        if not q.is_zero():
-            coeffs[alpha] = q
+    coeffs = read_records(text, {INDEX: "= poly"}, n)
+    arity = len(next(iter(coeffs))) if coeffs else n or 1
     return DiffOp(arity, coeffs, max_order=None, allow_degree_excess=True)
 
 
 def format_operator(T: DiffOp) -> str:
-    lines = [f"[{','.join(map(str, a))}] = {format_poly(q)}" for a, q in T.sorted_coeffs()]
+    lines = [f"{format_index(a)} = {format_poly(q)}" for a, q in T.sorted_coeffs()]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def read_operator(path, n: int | None = None) -> DiffOp:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_operator(fh.read(), n)

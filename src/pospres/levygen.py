@@ -23,6 +23,8 @@ from .polyalg import (
     iter_multiindices,
     mi_degree,
     mi_factorial,
+    format_point,
+    read_records,
 )
 from .diffop import (
     DiffOp,
@@ -315,8 +317,8 @@ def resolvent_check(A: DiffOp, d: int, lambdas, trials, grid,
 
     Solves (1 - lambda A_d) q = p on the degree-d restriction for each
     nonnegative trial p and scans the grid for negative values of q.  A
-    singular system at some lambda is recorded, not fatal.  Empty lists
-    raise ValueError.
+    singular system at some lambda is recorded, not fatal.  Empty lists,
+    or a system singular at every lambda, raise ValueError.
     """
     _require_nonempty(lambdas, trials, grid)
     M = matrix_rep(A, d)
@@ -342,6 +344,8 @@ def resolvent_check(A: DiffOp, d: int, lambdas, trials, grid,
                     witnesses.append(Witness(kind=f"resolvent lambda={lam:g}",
                                              trial=p, point=tuple(x), value=v))
                     break
+    if len(singular) == len(lambdas):
+        raise ValueError(f"singular at every lambda in {singular}: nothing was evaluated")
     checked = f"{len(list(lambdas))} resolvent values, degree {d}"
     if singular:
         checked += f"; singular at lambda in {singular}"
@@ -439,43 +443,17 @@ def check_generator_field_sufficient(F: LevyField, ys, D: int,
 
 def parse_levy_triple(text: str, order: int = 8) -> LevyTriple:
     """Triple file: `a0 = v`, `sigma = [[..],[..]]`, `b = (..)`, atom lines `nu (x..) w`."""
-    a0 = 0.0
-    sigma = None
-    b = None
-    atoms = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("a0"):
-            a0 = float(line.split("=", 1)[1])
-        elif line.startswith("sigma"):
-            body = line.split("=", 1)[1].strip()
-            rows = body.strip("[]").split("],[")
-            sigma = np.array([[float(t) for t in row.strip("[]").split(",")] for row in rows])
-        elif line.startswith("b"):
-            body = line.split("=", 1)[1].strip().strip("()")
-            b = np.array([float(t) for t in body.split(",")])
-        elif line.startswith("nu"):
-            rest = line[2:].strip()
-            close = rest.index(")")
-            point = tuple(float(t) for t in rest[1:close].split(","))
-            atoms.append((point, float(rest[close + 1:])))
-        else:
-            raise ValueError(f"line {ln}: cannot parse triple entry {line!r}")
-    if sigma is None or b is None:
+    rec = read_records(text, {"a0": "= number", "sigma": "= matrix", "b": "= point",
+                              "nu": "point number"})
+    if "sigma" not in rec or "b" not in rec:
         raise ValueError("triple file must define sigma and b")
-    nu = DiscreteMeasure(atoms) if atoms else None
-    return LevyTriple(a0, sigma, b, nu, order=order)
+    nu = DiscreteMeasure(rec["nu"]) if "nu" in rec else None
+    return LevyTriple(rec.get("a0", 0.0), rec["sigma"], rec["b"], nu, order=order)
 
 
 def format_levy_triple(tr: LevyTriple) -> str:
-    lines = [f"a0 = {format(tr.a0, '.17g')}"]
     rows = "],[".join(",".join(format(v, ".17g") for v in row) for row in tr.sigma)
-    lines.append(f"sigma = [[{rows}]]")
-    lines.append("b = (" + ",".join(format(v, ".17g") for v in tr.b) + ")")
+    lines = [f"a0 = {format(tr.a0, '.17g')}", f"sigma = [[{rows}]]", f"b = {format_point(tr.b)}"]
     if tr.nu is not None:
-        for p, w in tr.nu.atoms:
-            lines.append("nu (" + ",".join(format(x, ".17g") for x in p) + ") "
-                         + format(w, ".17g"))
+        lines.extend(f"nu {format_point(p)} {format(w, '.17g')}" for p, w in tr.nu.atoms)
     return "\n".join(lines) + "\n"

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polyalg import (
+    INDEX,
     BasisMap,
     DimensionMismatchError,
     MultiIndex,
@@ -28,6 +29,9 @@ from .polyalg import (
     mi_binom,
     mi_degree,
     mi_factorial,
+    format_index,
+    format_point,
+    read_records,
 )
 from .diffop import SHIFT_MIXTURE, DiffOp, TruncationError
 
@@ -352,55 +356,23 @@ def carleman_indicator(s: MomentSeq, terms: int | None = None) -> str:
 
 def parse_sequence(text: str, order: int | None = None) -> MomentSeq:
     """Sequence file: `[a1,...,an] = value` lines, `#` comments."""
-    vals = {}
-    arity = None
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, body = line.split("=", 1)
-        head = head.strip()
-        if not (head.startswith("[") and head.endswith("]")):
-            raise ValueError(f"line {ln}: expected `[a1,...,an] = value`")
-        alpha = tuple(int(t) for t in head[1:-1].split(","))
-        if arity is None:
-            arity = len(alpha)
-        elif len(alpha) != arity:
-            raise ValueError(f"line {ln}: inconsistent index length")
-        vals[alpha] = float(body.strip())
-    if arity is None:
+    vals = read_records(text, {INDEX: "= number"})
+    if not vals:
         raise ValueError("empty sequence file")
     mo = order if order is not None else max(mi_degree(a) for a in vals)
-    return MomentSeq(arity, mo, vals)
+    return MomentSeq(len(next(iter(vals))), mo, vals)
 
 
 def format_sequence(s: MomentSeq) -> str:
-    lines = [f"[{','.join(map(str, a))}] = {format(v, '.17g')}"
-             for a, v in sorted(s.values.items(), key=lambda kv: (mi_degree(kv[0]), kv[0]))]
+    lines = [f"{format_index(a)} = {format(v, '.17g')}" for a, v in s.values.items()]
     return "\n".join(lines) + "\n"
 
 
 def parse_measure(text: str) -> DiscreteMeasure:
     """Measure file: `atom (x1,...,xn) w` lines with w > 0, `#` comments."""
-    atoms = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not line.startswith("atom"):
-            raise ValueError(f"line {ln}: expected `atom (x1,...,xn) w`")
-        rest = line[4:].strip()
-        if not rest.startswith("("):
-            raise ValueError(f"line {ln}: missing point")
-        close = rest.index(")")
-        point = tuple(float(t) for t in rest[1:close].split(","))
-        w = float(rest[close + 1:].strip())
-        atoms.append((point, w))
-    return DiscreteMeasure(atoms)
+    return DiscreteMeasure(read_records(text, {"atom": "point number"}).get("atom", []))
 
 
 def format_measure(mu: DiscreteMeasure) -> str:
-    lines = [
-        "atom (" + ",".join(format(x, ".17g") for x in p) + ") " + format(w, ".17g")
-        for p, w in mu.atoms]
+    lines = [f"atom {format_point(p)} {format(w, '.17g')}" for p, w in mu.atoms]
     return "\n".join(lines) + "\n"

@@ -457,3 +457,87 @@ def format_poly(p: Poly) -> str:
         else:
             parts.append(("+ " if c >= 0 else "- ") + body)
     return " ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# record files: the line grammar of the operator, sequence, measure and triple formats
+# ---------------------------------------------------------------------------
+
+INDEX = "[a1,...,an]"  # the ``shapes`` key of records that start with an index
+_TOKEN_RE = {
+    "head": re.compile(r"\[(\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*)\]|[A-Za-z_]\w*"),
+    "=": re.compile("="),
+    "number": re.compile(r"\S+"),
+    "point": re.compile(r"\(([^()]*)\)"),
+    "matrix": re.compile(r"\[\s*\[[^\[\]]*\](?:\s*,\s*\[[^\[\]]*\])*\s*\]"),
+    "poly": re.compile(".*"),
+}
+
+
+def read_records(text: str, shapes: dict, n: int | None = None) -> dict:
+    """Parse a record file, one record per line after `#` comments, into {head: value}.
+
+    ``shapes`` maps each head (INDEX for `[a1,...,an]`, else a keyword) to the
+    kinds of the tokens after it in _TOKEN_RE, e.g. "= poly" or "point number".
+    A head with `=` is given once, any other collects a list of values.  Each
+    index, point and matrix row has n entries.  Each error is a ValueError
+    whose message starts with `line N: `.
+    """
+    records = {}
+
+    def entries(body: str, convert=float) -> tuple:
+        nonlocal n
+        out = tuple(map(convert, body.split(",")))
+        n = len(out) if n is None else n
+        if len(out) != n:
+            raise DimensionMismatchError(f"expected {n} entries, got {len(out)}")
+        return out
+
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            m = _TOKEN_RE["head"].match(line)
+            key = None if m is None else INDEX if m.group(1) is not None else m.group(0)
+            if key not in shapes:
+                raise ValueError(f"expected {' or '.join(shapes)}, got {line!r}")
+            head = entries(m.group(1), int) if key == INDEX else key
+            rest, fields, kinds = line[m.end():].lstrip(), [], shapes[key].split()
+            for kind in kinds:
+                m = _TOKEN_RE[kind].match(rest)
+                if m is None:
+                    raise ValueError(f"expected {kind}, got {rest!r}")
+                if kind == "number":
+                    fields.append(float(m.group(0)))
+                elif kind == "point":
+                    fields.append(entries(m.group(1)))
+                elif kind == "matrix":
+                    rows = re.findall(r"\[([^\[\]]*)\]", m.group(0)[1:-1])
+                    fields.append(tuple(map(entries, rows)))
+                elif kind == "poly":
+                    fields.append(parse_poly(m.group(0), n))
+                rest = rest[m.end():].lstrip()
+            if rest:
+                raise ValueError(f"unexpected {rest!r} after the record")
+            value = fields[0] if len(fields) == 1 else tuple(fields)
+            if kinds[0] != "=":
+                records.setdefault(head, []).append(value)
+            elif head in records:
+                raise ValueError(f"{line.split('=')[0].strip()} given twice")
+            else:
+                records[head] = value
+        except ValueError as exc:
+            exc.args = (f"line {ln}: {exc}",)
+            raise
+    return records
+
+
+def format_index(alpha: MultiIndex) -> str:
+    """The index token `[a1,...,an]` of the record files."""
+    return f"[{','.join(map(str, alpha))}]"
+
+
+def format_point(x: Sequence[float]) -> str:
+    """The point token `(x1,...,xn)`, with round-trippable %.17g entries."""
+    return "(" + ",".join(format(float(v), ".17g") for v in x) + ")"

@@ -397,7 +397,8 @@ def check_preserver_rn(T: DiffOp, d: int, ys, tol: float = 1e-10) -> PreserverVe
 
     For every y the matrix of (alpha! q_alpha(y)) up to order d must be
     positive semidefinite.  A negative eigenvalue refutes; all-pass is
-    inconclusive unless the operator carries a measure certificate.
+    inconclusive unless the operator carries a measure certificate.  An
+    empty point list raises ValueError.
     """
     witnesses = []
     count = 0
@@ -407,6 +408,8 @@ def check_preserver_rn(T: DiffOp, d: int, ys, tol: float = 1e-10) -> PreserverVe
         count += 1
         if not ok:
             witnesses.append(Witness(y=tuple(y), d=d, min_eigenvalue=lam))
+    if count == 0:
+        raise ValueError("empty point list: the check would evaluate nothing")
     checked = f"moment matrices of order {d} at {count} points"
     if witnesses:
         return PreserverVerdict(FAIL, tuple(witnesses), checked)
@@ -420,7 +423,8 @@ def check_preserver_halfline(T: DiffOp, d: int, ys, tol: float = 1e-10) -> Prese
 
     At y >= 0 the sequence must look like moments of a measure supported in
     [-y, inf): the plain matrix of order d and the matrix localized by
-    w(x) = x + y must both be positive semidefinite.
+    w(x) = x + y must both be positive semidefinite.  An empty point list
+    raises ValueError.
     """
     if T.n != 1:
         raise DimensionMismatchError("half-line check is univariate")
@@ -439,6 +443,8 @@ def check_preserver_halfline(T: DiffOp, d: int, ys, tol: float = 1e-10) -> Prese
         okl, laml = is_psd(moment_matrix(s, d, w=x + Poly.constant(1, y0)), tol)
         if not okl:
             witnesses.append(Witness(y=(y0,), d=d, min_eigenvalue=laml, kind="localized"))
+    if count == 0:
+        raise ValueError("empty point list: the check would evaluate nothing")
     checked = f"moment + localized matrices of order {d} at {count} points"
     if witnesses:
         return PreserverVerdict(FAIL, tuple(witnesses), checked)

@@ -63,10 +63,31 @@ def test_exit_code_usage_error(run_cli):
                  ["seq", "hadamard", "--b", "data/d2.seq"],
                  ["seq", "hankel", "--d", "2"],
                  ["seq", "carleman"],
-                 ["resolvent", "--op", "data/heat.op", "--d", "1"]):  # no trial fits
+                 ["resolvent", "--op", "data/heat.op", "--d", "1"],  # no trial fits
+                 ["check-preserver", "--op", "data/heat.op", "--K", "full", "--d", "3",
+                  "--ys=0:1:0"],
+                 ["curve", "drift", "--grid", "1:8:0"],
+                 ["curve", "drift", "--grid=-1:0:3"]):  # no time t > 0
         cp = run_cli(*argv)
         assert cp.returncode == 2, argv
         assert cp.stderr.startswith("error: ") and "Traceback" not in cp.stderr, argv
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["check-preserver", "--K", "full", "--d", "2", "--op"], "[-1] = 1\n"),
+    (["invert", "--d", "2", "--op"], "[-1] = 1\n"),
+    (["seq", "carleman", "--seq"], "[0] = 1\n[0] = 2\n"),
+    (["check-preserver", "--K", "full", "--d", "2", "--measure"], "atom 0.5) 1\n"),
+    (["levy-build", "--triple"], "sigma = [[1]]\nb = (0)\nnu 2.0) 0.25\n"),
+    (["levy-build", "--triple"], "sigma = [[1]]\nb = (0)\nbanana = (7)\n"),
+    (["levy-build", "--triple"], "sigmax = [[1]]\nb = (0)\n"),
+    (["levy-build", "--triple"], "sigma = [[1]]\nb = (0)\nb = (1)\n"),
+])
+def test_malformed_input_file_is_usage_error(argv, text, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert cli.run([*argv, str(path)], io.StringIO()) == 2
+    assert capsys.readouterr().err.startswith("error: line ")
 
 
 def test_tau_drift_cli_bracket_inside_published_interval(run_cli):

@@ -440,7 +440,19 @@ def test_operator_file_round_trip():
 
 
 def test_operator_file_errors():
-    with pytest.raises(ValueError):
-        parse_operator("[1] = 1\n[1] = 2\n")
-    with pytest.raises(ValueError):
-        parse_operator("1 = [1]\n")
+    for text, line in (
+        ("[1] = 1\n[1] = 2\n", 2),  # duplicate index
+        ("1 = [1]\n", 1),
+        ("[-1] = 1\n", 1),  # negative index, once INCONCLUSIVE in check-preserver
+        ("# heat\n[0] = 1\n[2 = 0.5\n", 3),
+        ("[1] = 1\n[1,0] = 1\n", 2),  # inconsistent arity
+        ("[1] = x2\n", 1),
+        ("[1] = x0\n", 1),
+    ):
+        with pytest.raises(ValueError, match=f"^line {line}: "):
+            parse_operator(text)
+
+
+def test_operator_file_whitespace_inside_index():
+    T = parse_operator("[ 2 , 0 ] = 0.5  # comment\n[0,1]=x1\n")
+    assert T.coeffs == {(2, 0): Poly.constant(2, 0.5), (0, 1): Poly.variable(2, 0)}

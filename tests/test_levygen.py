@@ -264,6 +264,12 @@ def test_falsifier_rejects_empty_lists(check, empty):
         check(DiffOp(1, {(2,): 1.0}), 4, **lists)
 
 
+def test_resolvent_singular_at_every_lambda_is_an_error():
+    # 1 - 0.25 * (x d) kills x^4, so no trial is evaluated at all
+    with pytest.raises(ValueError, match="singular at every lambda"):
+        resolvent_check(DiffOp(1, {(1,): X}), 4, [0.25], [X * X], GRID)
+
+
 # ---------------------------------------------------------------------------
 # pointwise-sufficient field check
 # ---------------------------------------------------------------------------
@@ -345,6 +351,28 @@ def test_triple_file_example():
     tr = parse_levy_triple(text)
     A = generator_from_levy(tr, 4)
     assert A.coefficient((2,)).coeff((0,)) == pytest.approx(0.5)
+
+
+def test_triple_file_whitespace_inside_brackets():
+    tr = parse_levy_triple("sigma = [[1, 0], [0, 1]]\nb = ( 0 , 0.5 )\nnu ( 1 , 2 ) 0.25\n")
+    assert np.array_equal(tr.sigma, np.eye(2)) and np.array_equal(tr.b, [0.0, 0.5])
+    assert tr.nu == DiscreteMeasure([((1.0, 2.0), 0.25)]) and tr.a0 == 0.0
+
+
+@pytest.mark.parametrize("text, line", [
+    ("sigma = [[1]]\nb = (0)\nnu 2.0) 0.25\n", 3),  # once an atom at 0.0
+    ("sigma = [[1]]\nb = (0)\nbanana = (7)\n", 3),  # once read as b
+    ("sigmax = [[1]]\nb = (0)\n", 1),  # once read as sigma
+    ("sigma = [[1]]\nb = (0)\nb = (1)\n", 3),  # once the second b won
+    ("a0 = 1\nsigma = [[1]]\nb = (0)\na0 = 2\n", 4),
+    ("sigma = [[1, 0], [0, 1]]\nb = (0)\n", 2),
+    ("sigma = [[1]]\nb = (0) 1\n", 2),
+    ("sigma = [1]\nb = (0)\n", 1),
+    ("a0\nsigma = [[1]]\nb = (0)\n", 1),
+])
+def test_triple_file_errors(text, line):
+    with pytest.raises(ValueError, match=f"^line {line}: "):
+        parse_levy_triple(text)
 
 
 def test_finite_order_rejects_degree_excess_coefficients():

@@ -361,6 +361,29 @@ def test_measure_file_comments():
     assert len(mu.atoms) == 2
 
 
+def test_file_whitespace_inside_brackets():
+    assert parse_sequence("[ 0 , 0 ] = 1\n[1,0]=2  # x1\n") == MomentSeq(
+        2, 1, {(0, 0): 1.0, (1, 0): 2.0})
+    assert parse_measure("atom ( 0.5 , -1 ) 2\n") == DiscreteMeasure([((0.5, -1.0), 2.0)])
+
+
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_sequence, "[0] = 1\n[0] = 2\n", 2),  # duplicate index, once the last one won
+    (parse_sequence, "[0] = 1\n[1] 2\n", 2),
+    (parse_sequence, "[0] = 1 2\n", 1),
+    (parse_sequence, "[-1] = 1\n", 1),
+    (parse_sequence, "[0] = 1\n[1,0] = 1\n", 2),
+    (parse_sequence, "[0] = one\n", 1),
+    (parse_measure, "atom 0.5) 1\n", 1),
+    (parse_measure, "atomic (0.5) 1\n", 1),
+    (parse_measure, "atom (0.5) 1\natom (0.5, 1) 1\n", 2),
+    (parse_measure, "atom (0.5) 1 2\n", 1),
+])
+def test_sequence_and_measure_file_errors(parse, text, line):
+    with pytest.raises(ValueError, match=f"^line {line}: "):
+        parse(text)
+
+
 def test_sequence_constructor_guards():
     with pytest.raises(ValueError):
         MomentSeq(1, 2, {(0,): float("nan")})

@@ -159,6 +159,13 @@ def test_halfline_rejects_negative_sample():
         check_preserver_halfline(D, 4, [(-1.0,)])
 
 
+@pytest.mark.parametrize("check", [check_preserver_rn, check_preserver_halfline])
+def test_preserver_checks_reject_empty_point_list(check):
+    # no point means nothing checked, so no verdict may be reported
+    with pytest.raises(ValueError, match="empty point list"):
+        check(DiffOp.identity(1), 2, [])
+
+
 # ---------------------------------------------------------------------------
 # global minimum / pointwise degree-2 check
 # ---------------------------------------------------------------------------
