@@ -322,6 +322,9 @@ def run(argv, out=None) -> int:
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect in pospres, not a refutation: never exit 1
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -4,10 +4,12 @@ An operator is a finite table of polynomial coefficients q_alpha acting as
 ``T p = sum_alpha q_alpha * d^alpha p``.  When every coefficient satisfies
 deg q_alpha <= |alpha| the operator maps each space of polynomials of
 degree <= d into itself, so it has a well-defined dim x dim matrix
-restriction on the graded basis.  Composition, inversion, exponentials and
-logarithms are computed through those finite matrix restrictions, which is
-exact on the restricted space; the unique coefficient table of a matrix is
-recovered by a graded recursion (``canonical_from_action``).
+restriction on the graded basis.  A constant-coefficient operator is its
+sequence s_alpha = alpha! q_alpha, composed by binomial convolution, so its
+composition, inverse, exponential and logarithm are exact finite series in
+the sequence ring of ``momseq``.  Other operators go through the finite
+matrix restrictions, exact on the restricted space; the unique coefficient
+table of a matrix is recovered by a graded recursion (``canonical_from_action``).
 """
 
 from __future__ import annotations
@@ -139,21 +141,9 @@ class DiffOp:
         """Largest |alpha| with a nonzero stored coefficient (-1 for the zero operator)."""
         return max((mi_degree(a) for a in self.coeffs), default=-1)
 
-    def has_constant_coefficients(self, tol: float = 0.0) -> bool:
-        """True when every coefficient is scalar.
-
-        With tol > 0, coefficient mass of positive degree up to
-        tol * (largest coefficient magnitude) is treated as float noise;
-        the default is an exact structural test.
-        """
-        if tol == 0.0:
-            return all(q.degree <= 0 for q in self.coeffs.values())
-        scale = max(1.0, max((q.max_abs_coeff() for q in self.coeffs.values()), default=0.0))
-        for q in self.coeffs.values():
-            for e, c in q.terms.items():
-                if sum(e) > 0 and abs(c) > tol * scale:
-                    return False
-        return True
+    def has_constant_coefficients(self) -> bool:
+        """True when every coefficient is scalar (an exact structural test)."""
+        return all(q.degree <= 0 for q in self.coeffs.values())
 
     def coefficient(self, alpha: MultiIndex) -> Poly:
         return self.coeffs.get(tuple(alpha), Poly.zero(self.n))
@@ -293,10 +283,30 @@ def canonical_from_action(action: OpMatrix, tol: float = 1e-9) -> DiffOp:
     return DiffOp(n, coeffs, max_order=basis.d)
 
 
+def _sequence(T: DiffOp, d: int):
+    """The sequence s_alpha = alpha! q_alpha of a constant-coefficient T, truncated at d."""
+    from .momseq import MomentSeq
+    T._require_order(d, "constant-coefficient algebra")
+    return MomentSeq(T.n, d, {a: mi_factorial(a) * q.constant_value()
+                              for a, q in T.coeffs.items() if mi_degree(a) <= d})
+
+
+def _unit_series(T: DiffOp, d: int, coeffs) -> DiffOp:
+    """sum_k coeffs[k] N^{*k} for the constant T = q_0 (e + N), as an operator."""
+    from .momseq import MomentSeq, dop_from_seq, nilpotent_series
+    s = _sequence(T, d)
+    N = MomentSeq(T.n, d, {a: v / T.q0 for a, v in s.values.items() if any(a)})
+    return dop_from_seq(nilpotent_series(N, coeffs))
+
+
 def compose(T: DiffOp, S: DiffOp, d: int) -> DiffOp:
-    """T after S, computed through the degree-d matrix restrictions."""
+    """T after S on R[x]_{<=d}: convolution of sequences for two constant
+    operators, else the product of the degree-d matrix restrictions."""
     if T.n != S.n:
         raise DimensionMismatchError("variable counts differ")
+    if T.has_constant_coefficients() and S.has_constant_coefficients():
+        from .momseq import convolve, dop_from_seq
+        return dop_from_seq(convolve(_sequence(T, d), _sequence(S, d)))
     mt = matrix_rep(T, d)
     ms = matrix_rep(S, d)
     return canonical_from_action(OpMatrix(mt.basis, mt.entries @ ms.entries))
@@ -305,35 +315,16 @@ def compose(T: DiffOp, S: DiffOp, d: int) -> DiffOp:
 def invert(T: DiffOp, d: int) -> DiffOp:
     """Two-sided inverse of T on R[x]_{<=d}.
 
-    For the composition T o B = 1 with constant coefficients the
-    degree-|alpha| equation reads ``a_0 b_alpha = -sum_{0<beta<=alpha}
-    a_beta b_{alpha-beta}``, an explicit convolution recursion from
-    b_0 = 1/a_0; it is exact and keeps the result structurally constant.
-    Otherwise the degree-d matrix restriction is inverted and the
-    coefficient table recovered by ``canonical_from_action``.
+    A constant-coefficient T = q_0 (e + N) has the finite Neumann series
+    sum_k (-1)^k N^{*k} / q_0 in the sequence ring.  Otherwise the degree-d
+    matrix restriction is inverted and the coefficient table recovered by
+    ``canonical_from_action``.
     """
     if T.q0 == 0.0:
         raise NotInvertibleError("q_0 = 0: operator has no inverse")
     T._require_order(d, "invert")
-    n = T.n
-    a0 = T.q0
     if T.has_constant_coefficients():
-        avals = {a: q.constant_value() for a, q in T.coeffs.items()}
-        b: dict = {(0,) * n: 1.0 / a0}
-        for alpha in iter_multiindices(n, d):
-            if mi_degree(alpha) == 0:
-                continue
-            acc = 0.0
-            for beta in iter_multiindices_leq(alpha):
-                if mi_degree(beta) == 0:
-                    continue
-                a_val = avals.get(beta)
-                if a_val is None:
-                    continue
-                acc += a_val * b.get(mi_sub(alpha, beta), 0.0)
-            b[alpha] = -acc / a0
-        return DiffOp.from_constant_table(b, n, max_order=d)
-
+        return _unit_series(T, d, [(-1.0) ** k / T.q0 for k in range(d + 1)])
     M = matrix_rep(T, d)
     try:
         inv = np.linalg.solve(M.entries, np.eye(M.basis.dim))
@@ -345,12 +336,17 @@ def invert(T: DiffOp, d: int) -> DiffOp:
 
 
 def exp_op(A: DiffOp, t: float, d: int) -> DiffOp:
-    """exp(tA) on R[x]_{<=d} through the dense matrix exponential.
+    """exp(tA) on R[x]_{<=d}.
 
-    Exactness on the restriction: exp(tA) p only involves the degree-d
-    matrix for deg p <= d, so within floating accuracy the result is the
-    genuine semigroup element restricted to the space.
+    A constant-coefficient A takes the convolution exponential of its
+    sequence, exact and constant by construction.  Otherwise the dense
+    matrix exponential of the degree-d restriction is taken: exp(tA) p only
+    involves that matrix for deg p <= d, so within floating accuracy the
+    result is the genuine semigroup element restricted to the space.
     """
+    if A.has_constant_coefficients():
+        from .momseq import conv_exp, dop_from_seq
+        return dop_from_seq(conv_exp(_sequence(A, d), t))
     M = matrix_rep(A, d)
     E = expm(t * M.entries)
     return canonical_from_action(OpMatrix(M.basis, E))
@@ -359,28 +355,14 @@ def exp_op(A: DiffOp, t: float, d: int) -> DiffOp:
 def log_op(T: DiffOp, d: int) -> DiffOp:
     """Logarithm of a constant-coefficient operator with q_0 > 0.
 
-    In the graded basis (constant monomial first, columns holding images)
-    a constant-coefficient operator is triangular with diagonal q_0 and a
-    nilpotent strictly-triangular part N, so log is the finite Mercator
-    series on N plus log(q_0) * identity.
+    T = q_0 (e + N) with N nilpotent under truncation, so log T is
+    log(q_0) e plus the finite Mercator series sum_k (-1)^{k+1}/k N^{*k}.
     """
-    if not T.has_constant_coefficients(tol=1e-12):
+    if not T.has_constant_coefficients():
         raise ValueError("log_op supports only constant-coefficient operators")
     if T.q0 <= 0.0:
         raise ValueError("log_op requires q_0 > 0")
-    M = matrix_rep(T, d)
-    dim = M.basis.dim
-    N = M.entries / T.q0 - np.eye(dim)
-    if np.max(np.abs(np.tril(N))) > 1e-12 * max(1.0, np.max(np.abs(M.entries))):
-        raise ValueError("matrix restriction is not triangular; not constant-coefficient")
-    out = math.log(T.q0) * np.eye(dim)
-    term = np.eye(dim)
-    for k in range(1, dim):
-        term = term @ N
-        if not np.any(term):
-            break
-        out += ((-1.0) ** (k + 1) / k) * term
-    return canonical_from_action(OpMatrix(M.basis, out))
+    return _unit_series(T, d, [math.log(T.q0)] + [(-1.0) ** (k + 1) / k for k in range(1, d + 1)])
 
 
 def exp_limit_check(A: DiffOp, t: float, d: int, k: int) -> float:

@@ -204,6 +204,23 @@ def convolve(s: MomentSeq, t: MomentSeq) -> MomentSeq:
     return MomentSeq(s.n, order, out, measure=measure)
 
 
+def nilpotent_series(N: MomentSeq, coeffs) -> MomentSeq:
+    """sum_k coeffs[k] N^{*k} for a sequence with N_0 = 0, where N^{*0} = e.
+
+    N^{*k} vanishes below degree k, so truncated at N.order the series ends
+    at k = N.order and is exact; ``coeffs`` holds its N.order + 1 terms.
+    Exp, log and inverse of constant-coefficient operators are such series.
+    """
+    if N.values[(0,) * N.n] != 0.0:
+        raise ValueError("nilpotent series needs N_0 = 0")
+    power = MomentSeq(N.n, N.order, {(0,) * N.n: 1.0})
+    acc = power.scale(coeffs[0])
+    for c in coeffs[1:]:
+        power = convolve(power, N)
+        acc = acc + power.scale(c)
+    return acc
+
+
 def hadamard(s: MomentSeq, t: MomentSeq) -> MomentSeq:
     """Entrywise product (s_alpha * t_alpha)."""
     if s.n != t.n:
@@ -230,36 +247,17 @@ def hadamard_measures(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasu
         for p, w1 in mu.atoms for q, w2 in nu.atoms])
 
 
-def conv_exp(s: MomentSeq, t: float, rel_tol: float = 1e-16, max_terms: int = 1000) -> MomentSeq:
+def conv_exp(s: MomentSeq, t: float) -> MomentSeq:
     """Convolution exponential sum_k t^k/k! s^{*k}, truncated at s.order.
 
-    The series is summed until the largest increment falls below
-    rel_tol * scale (and at least order+1 terms have been taken); the
-    factorial ultimately wins over the polynomial growth of the iterated
-    convolutions, but the crossover can sit well beyond order + 10 for
-    measures with atoms of modest size, so iteration runs to convergence.
+    With N = s - s_0 e this is e^{t s_0} sum_{k <= order} t^k/k! N^{*k}:
+    N is nilpotent under truncation, so the finite sum is the whole series.
     """
-    plain = MomentSeq(s.n, s.order, s.values)  # drop measure provenance
-    unit = MomentSeq(s.n, s.order, {(0,) * s.n: 1.0})
-    acc = dict(unit.values)
-    power = unit
-    coef = 1.0
-    k = 0
-    while True:
-        k += 1
-        power = convolve(power, plain)
-        coef *= t / k
-        biggest = 0.0
-        for a, v in power.values.items():
-            inc = coef * v
-            acc[a] += inc
-            biggest = max(biggest, abs(inc))
-        scale = max(1.0, max(abs(v) for v in acc.values()))
-        if k > s.order and biggest < rel_tol * scale:
-            break
-        if k >= max_terms:
-            raise ArithmeticError("convolution exponential did not converge")
-    return MomentSeq(s.n, s.order, acc)
+    N = MomentSeq(s.n, s.order, {a: v for a, v in s.values.items() if any(a)})  # drops the measure
+    coeffs = [1.0]
+    for k in range(1, s.order + 1):
+        coeffs.append(coeffs[-1] * t / k)
+    return nilpotent_series(N, coeffs).scale(math.exp(t * s.values[(0,) * s.n]))
 
 
 # ---------------------------------------------------------------------------

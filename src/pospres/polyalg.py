@@ -390,20 +390,23 @@ def parse_poly(text: str, n: int | None = None) -> Poly:
         if ch in "+-" and (buf.strip() or terms or i == 0) and (i == 0 or s[i - 1].lower() not in "e"):
             if buf.strip():
                 terms.append((sign, buf))
+            elif i > 0:
+                raise ValueError(f"sign without a term in {text!r}")
             sign = 1.0 if ch == "+" else -1.0
             buf = ""
         else:
             buf += ch
         i += 1
-    if buf.strip():
-        terms.append((sign, buf))
-    if not terms:
-        raise ValueError(f"cannot parse polynomial: {text!r}")
+    if not buf.strip():
+        raise ValueError(f"sign without a term in {text!r}")
+    terms.append((sign, buf))
 
     parsed = []
     max_var = 0
     for sgn, chunk in terms:
         chunk = chunk.strip()
+        if not all(f.strip() for f in chunk.split("*")):
+            raise ValueError(f"'*' must stand between two factors in {chunk!r}")
         coeff = sgn
         vars_part = chunk
         m = _NUM_RE.match(chunk)

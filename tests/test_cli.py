@@ -90,6 +90,16 @@ def test_malformed_input_file_is_usage_error(argv, text, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: line ")
 
 
+def test_internal_error_exits_2_without_traceback(monkeypatch, capsys):
+    def broken(args, out):
+        raise RuntimeError("broken command")
+    monkeypatch.setattr(cli, "cmd_tau_sigma", broken)
+    assert cli.run(["tau-sigma"], io.StringIO()) == 2
+    err = capsys.readouterr().err
+    assert err == "error: internal: RuntimeError: broken command\n"
+    assert "Traceback" not in err
+
+
 def test_tau_drift_cli_bracket_inside_published_interval(run_cli):
     cp = run_cli("tau-drift", "--a", "1", "--tol", "1e-5")
     line = cp.stdout.splitlines()[0]

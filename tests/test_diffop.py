@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from pospres import diffop
 from pospres.polyalg import BasisMap, Poly, parse_poly
 from pospres.diffop import (
     DegreeBoundError,
@@ -267,14 +268,39 @@ def test_invert_rejects_zero_constant_term():
 
 
 def test_invert_of_exp_with_rounding_dust():
-    # exp_op leaves 1e-16 positive-degree dust on the constant-coefficient heat
-    # flow, so its inverse goes through the non-constant (matrix) route
+    # the heat flow exp(Laplacian/2) has exactly 15 coefficients up to degree 8,
+    # q_(2a,2b) = (1/2)^a/a! * (1/2)^b/b!, with no positive-degree rounding
+    # dust, so its inverse stays in the sequence ring
     heat2 = DiffOp(2, {(2, 0): 0.5, (0, 2): 0.5})
     E = exp_op(heat2, 1.0, 8)
-    assert not E.has_constant_coefficients()
+    assert E.has_constant_coefficients()
+    assert len(E.coeffs) == 15
+    for (i, j), q in E.coeffs.items():
+        a, b = i // 2, j // 2
+        want = 0.5 ** a / math.factorial(a) * 0.5 ** b / math.factorial(b)
+        assert (i % 2, j % 2) == (0, 0)
+        assert abs(q.constant_value() - want) <= 1e-15 * want
     got = matrix_rep(invert(E, 8), 8).entries
     want = matrix_rep(exp_op(heat2, -1.0, 8), 8).entries
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_constant_algebra_avoids_the_matrix_route(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a constant-coefficient input reached the matrix route")
+    for name in ("matrix_rep", "expm", "canonical_from_action"):
+        monkeypatch.setattr(diffop, name, forbidden)
+    T = DiffOp(2, {(0, 0): 1.5, (1, 0): 0.3, (2, 0): 0.5, (1, 1): -0.2, (0, 2): 0.5})
+    for out in (exp_op(T, 0.7, 6), log_op(T, 6), invert(T, 6), compose(T, T, 6)):
+        assert out.has_constant_coefficients() and out.max_order == 6
+
+
+def test_constant_algebra_keeps_truncation_guard():
+    T = DiffOp.from_constant_table({(0,): 1.0, (2,): 0.5}, 1, max_order=3)
+    for call in (lambda: exp_op(T, 1.0, 4), lambda: log_op(T, 4), lambda: invert(T, 4),
+                 lambda: compose(T, T, 4)):
+        with pytest.raises(TruncationError):
+            call()
 
 
 def test_invert_detects_kernel_at_truncation():

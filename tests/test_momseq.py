@@ -24,6 +24,7 @@ from pospres.momseq import (
     hadamard_measures,
     is_psd,
     moment_matrix,
+    nilpotent_series,
     parse_measure,
     parse_sequence,
 )
@@ -215,6 +216,15 @@ def test_conv_exp_of_point_mass_total_mass():
     out = conv_exp(s, t)
     assert out.value((0,)) == pytest.approx(math.exp(t))
     assert out.value((1,)) == pytest.approx(t * c * math.exp(t), rel=1e-12)
+
+
+def test_nilpotent_series_is_exact_and_needs_zero_constant_term():
+    # sum_k N^{*k} for N = (0, 1, 0, ...) is the sequence of (1 - d)^{-1} = sum_k d^k
+    N = MomentSeq(1, 4, {(1,): 1.0})
+    out = nilpotent_series(N, [1.0] * 5)
+    assert [out.value((k,)) for k in range(5)] == [1.0, 1.0, 2.0, 6.0, 24.0]
+    with pytest.raises(ValueError):
+        nilpotent_series(MomentSeq(1, 2, {(0,): 1.0}), [1.0] * 3)
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,12 @@ def test_parse_rejects_garbage():
         parse_poly("x3", 2)
 
 
+@pytest.mark.parametrize("text", ["x1 +", "x1 - ", "1 +* x1", "2 * * x1", "2 *", "x1 + - 1", "-"])
+def test_parse_rejects_dangling_sign_or_star(text):
+    with pytest.raises(ValueError):
+        parse_poly(text, 1)
+
+
 def test_zero_coefficients_pruned():
     p = Poly(1, {(0,): 0.0, (2,): 1.0})
     assert (0,) not in p.terms

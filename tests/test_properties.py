@@ -1,9 +1,11 @@
-"""Property tests for the four record file formats.
+"""Property tests for the record file formats and the constant-coefficient algebra.
 
 Round trips: format -> parse -> format is byte-identical and the parsed
-object equals the original.  Fuzzing: mutated files and random lines either
-parse or raise ValueError, never any other exception.  Every test is
-derandomized with a bounded example count, so the suite stays deterministic.
+object equals the original.  Fuzzing: mutated files, random lines and random
+polynomial text either parse or raise ValueError, never any other exception.
+Constant-coefficient exp, log, invert and compose return constant operators
+and agree with the dense matrix route.  Every test is derandomized with a
+bounded example count, so the suite stays deterministic.
 """
 
 from pathlib import Path
@@ -11,9 +13,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
-from pospres.polyalg import Poly, iter_multiindices
-from pospres.diffop import DiffOp, format_operator, parse_operator
+from pospres.polyalg import Poly, iter_multiindices, mi_factorial, parse_poly
+from pospres.diffop import (
+    DiffOp,
+    compose,
+    exp_op,
+    format_operator,
+    invert,
+    log_op,
+    matrix_rep,
+    parse_operator,
+)
 from pospres.momseq import (
     DiscreteMeasure,
     MomentSeq,
@@ -158,3 +170,61 @@ def test_mutated_files_parse_or_raise_value_error(kind, data):
 @given(lines=st.lists(st.lists(st.sampled_from(TOKENS), max_size=6).map(" ".join), max_size=5))
 def test_random_lines_parse_or_raise_value_error(kind, lines):
     parse_or_value_error(PARSERS[kind][0], "\n".join(lines))
+
+
+# Polynomial text: fragments glued without separators, so numbers, exponents
+# and signs run into each other; variable indices stay small because the
+# largest one sets the variable count.
+POLY_TOKENS = ["1", "-2.5e3", "1e-3", ".5", "x1", "x2^2", "x0", "x", "^", "^2", "*", "+", "-",
+               "e", ".", " ", "nan"]
+
+
+@SETTINGS
+@given(st.lists(st.sampled_from(POLY_TOKENS), max_size=8).map("".join))
+def test_parse_poly_parses_or_raises_value_error(text):
+    parse_or_value_error(parse_poly, text)
+
+
+# ---------------------------------------------------------------------------
+# constant-coefficient algebra
+# ---------------------------------------------------------------------------
+
+@st.composite
+def constant_pairs(draw):
+    """Two constant operators in n <= 2 variables with q_0 > 0, and a degree d <= 6.
+
+    Their tables reach any order up to 6, above or below d; q_alpha is drawn
+    as s_alpha / alpha! with |s_alpha| <= 1, on the scale of the sequence ring.
+    """
+    n, d = draw(st.integers(1, 2)), draw(st.integers(0, 6))
+
+    def operator():
+        top = draw(st.integers(0, 6))
+        table = {a: draw(st.floats(-1.0, 1.0)) / mi_factorial(a) for a in iter_multiindices(n, top)}
+        table[(0,) * n] = draw(st.floats(0.5, 2.0))
+        return DiffOp.from_constant_table(table, n)
+
+    return operator(), operator(), d
+
+
+@SETTINGS
+@given(constant_pairs(), st.floats(-1.0, 1.0))
+def test_constant_algebra_returns_constant_operators(pair, t):
+    T, S, d = pair
+    for out in (exp_op(T, t, d), log_op(T, d), invert(T, d), compose(T, S, d)):
+        assert out.has_constant_coefficients() and out.max_order == d
+
+
+def max_rel_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@SETTINGS
+@given(constant_pairs(), st.floats(-1.0, 1.0))
+def test_constant_algebra_matches_matrix_route(pair, t):
+    T, S, d = pair
+    M, MS = matrix_rep(T, d).entries, matrix_rep(S, d).entries
+    assert max_rel_gap(matrix_rep(exp_op(T, t, d), d).entries, expm(t * M)) <= 1e-10
+    assert max_rel_gap(matrix_rep(invert(T, d), d).entries, np.linalg.inv(M)) <= 1e-10
+    assert max_rel_gap(matrix_rep(compose(T, S, d), d).entries, M @ MS) <= 1e-10
+    assert max_rel_gap(expm(matrix_rep(log_op(T, d), d).entries), M) <= 1e-10
