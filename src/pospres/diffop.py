@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .polyalg import (
     INDEX,
@@ -37,6 +36,12 @@ from .polyalg import (
     format_poly,
     read_records,
 )
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """Dense matrix exponential; scipy.linalg is imported on the first call, not with pospres."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(A)
 
 
 class TruncationError(ValueError):

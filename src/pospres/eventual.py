@@ -29,9 +29,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .momseq import MomentSeq, is_psd, moment_matrix
+from .diffop import expm
+from .momseq import MomentSeq, moment_matrices, psd_stack
+from .polyalg import CLOUD_BLOCK
 
 
 class NoSignChangeError(ValueError):
@@ -63,10 +64,18 @@ class ThresholdResult:
 # first family: diagonal cubic-exponent scaling on quartics
 # ---------------------------------------------------------------------------
 
+def _sigma_moments(ts) -> np.ndarray:
+    """Row k holds the scaling sequence (e^{t_k j^3})_{j=0..4}."""
+    S = np.array([[math.exp(t * j ** 3) for j in range(5)] for t in ts]).reshape(-1, 5)
+    for j in range(5):
+        if not np.isfinite(S[:, j]).all():
+            raise ValueError(f"non-finite entry at {(j,)}")
+    return S
+
+
 def sigma_scaling_sequence(t: float) -> MomentSeq:
     """The scaling sequence (e^{t k^3})_{k=0..4} as a truncated 1-d sequence."""
-    vals = {(k,): math.exp(t * k ** 3) for k in range(5)}
-    return MomentSeq(1, 4, vals)
+    return MomentSeq(1, 4, {(k,): v for k, v in enumerate(_sigma_moments([t])[0].tolist())})
 
 
 def _exp_safe(u: float) -> float:
@@ -86,8 +95,8 @@ def h2_closed(t: float) -> float:
             + 2 * _exp_safe(36 * t) - _exp_safe(24 * t))
 
 
-def sigma_example_curve(t: float):
-    """(h2, sigma3) for the diagonal family at time t.
+def sigma_curve(ts):
+    """(h2, sigma3) lists for the diagonal family at each time in ts.
 
     h2 is evaluated by the closed form and cross-checked against the
     determinant of the assembled moment matrix; sigma3 (the smallest
@@ -95,21 +104,34 @@ def sigma_example_curve(t: float):
     determinant routes must agree to 1e-12 relative to the largest matrix
     entry scale cubed; near the root the determinant itself cancels to
     ~1e-8, so agreement is measured against that scale, not the value.
+    Each block of times takes one stacked det and one stacked eigvalsh.
     """
-    closed = h2_closed(t)
-    M = moment_matrix(sigma_scaling_sequence(t), 2)
-    with np.errstate(over="ignore"):
-        det = float(np.linalg.det(M.entries))
-    _, sigma3 = is_psd(M)
-    # the LU determinant loses accuracy as the entry range explodes, so the
-    # cross-check tolerance scales with the cubed entry magnitude; on the
-    # bracketing region (t <= 0.5) this is a genuine 1e-12 agreement
-    scale = max(1.0, float(np.max(np.abs(M.entries)))) ** 3
-    if math.isfinite(closed) and math.isfinite(det) and math.isfinite(scale):
-        if abs(closed - det) > 1e-12 * scale:
-            raise ArithmeticError(
-                f"determinant routes disagree at t={t:g}: {closed!r} vs {det!r}")
-    return closed, sigma3
+    ts = [float(t) for t in ts]
+    h2s, sigma3s = [], []
+    for lo in range(0, len(ts), CLOUD_BLOCK):
+        block = ts[lo:lo + CLOUD_BLOCK]
+        M = moment_matrices(_sigma_moments(block), 1, 2)
+        with np.errstate(over="ignore"):
+            dets = np.linalg.det(M)
+        sigma3s += psd_stack(M)[1].tolist()
+        # the LU determinant loses accuracy as the entry range explodes, so the
+        # cross-check tolerance scales with the cubed entry magnitude; on the
+        # bracketing region (t <= 0.5) this is a genuine 1e-12 agreement
+        for t, det, big in zip(block, dets.tolist(), np.abs(M).max(axis=(1, 2)).tolist()):
+            closed = h2_closed(t)
+            scale = max(1.0, big) ** 3
+            if math.isfinite(closed) and math.isfinite(det) and math.isfinite(scale):
+                if abs(closed - det) > 1e-12 * scale:
+                    raise ArithmeticError(
+                        f"determinant routes disagree at t={t:g}: {closed!r} vs {det!r}")
+            h2s.append(closed)
+    return h2s, sigma3s
+
+
+def sigma_example_curve(t: float):
+    """(h2, sigma3) for the diagonal family at time t: the one-time case of ``sigma_curve``."""
+    h2s, sigma3s = sigma_curve([t])
+    return h2s[0], sigma3s[0]
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +313,7 @@ def polynomial_positivity_threshold(flow, t_max: float = 10.0,
 def sigma_curve_rows(ts) -> list:
     """CSV rows `t,h2,sigma3` with 17 significant digits."""
     rows = ["t,h2,sigma3"]
-    for t in ts:
-        h2, s3 = sigma_example_curve(float(t))
+    for t, h2, s3 in zip(ts, *sigma_curve(ts)):
         rows.append(f"{format(float(t), '.17g')},{format(h2, '.17g')},{format(s3, '.17g')}")
     return rows
 

@@ -18,8 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polyalg import (
+    CLOUD_BLOCK,
     DimensionMismatchError,
     Poly,
+    evaluate,
     iter_multiindices,
     mi_degree,
     mi_factorial,
@@ -33,15 +35,24 @@ from .diffop import (
     exp_op,
     matrix_rep,
 )
-from .momseq import DiscreteMeasure, MomentSeq, convolve, conv_exp, from_measure
+from .momseq import (
+    DiscreteMeasure,
+    MomentSeq,
+    convolve,
+    conv_exp,
+    from_measure,
+    moment_matrices,
+    psd_stack,
+)
 from .preserver import (
     FAIL,
     INCONCLUSIVE,
     PASS,
     PreserverVerdict,
     Witness,
-    check_preserver_rn,
+    coefficient_sequences,
     global_min_univariate,
+    worst_points,
 )
 
 
@@ -229,23 +240,21 @@ def check_generator_rn(A: DiffOp, d: int, ys, ts, tol: float = 1e-10) -> Preserv
     A refuted exp(t A_y) soundly refutes A as a generator; all-pass remains
     inconclusive (finitely many y, t and one matrix order were sampled).
     """
+    if any(t <= 0 for t in ts):
+        raise ValueError("sample times must be positive")
+    cells = [(tuple(y), t) for y in ys for t in ts]
+    origin = [(0.0,) * A.n]
     witnesses = []
-    count = 0
-    origin = (0.0,) * A.n
-    for y in ys:
-        A_y = A.freeze_at(tuple(y))
-        for t in ts:
-            if t <= 0:
-                raise ValueError("sample times must be positive")
-            T = exp_op(A_y, float(t), 2 * d)
-            inner = check_preserver_rn(T, d, [origin], tol)
-            count += 1
-            if inner.failed:
-                w = inner.witnesses[0]
-                witnesses.append(Witness(y=tuple(y), d=d,
-                                         min_eigenvalue=w.min_eigenvalue,
-                                         kind=f"exp(t*A_y) at t={t:g}"))
-    checked = f"{count} frozen (y, t) cells, moment order {d}"
+    for lo in range(0, len(cells), CLOUD_BLOCK):
+        block = cells[lo:lo + CLOUD_BLOCK]
+        frozen = {y: A.freeze_at(y) for y in {y for y, _ in block}}
+        S = np.array([coefficient_sequences(exp_op(frozen[y], float(t), 2 * d), origin, 2 * d)[0]
+                      for y, t in block])
+        ok, lam = psd_stack(moment_matrices(S, A.n, d), tol)
+        witnesses += [Witness(y=block[k][0], d=d, min_eigenvalue=float(lam[k]),
+                              kind=f"exp(t*A_y) at t={block[k][1]:g}")
+                      for k in np.flatnonzero(~ok)]
+    checked = f"{len(cells)} frozen (y, t) cells, moment order {d}"
     if witnesses:
         return PreserverVerdict(FAIL, tuple(witnesses), checked)
     return PreserverVerdict(INCONCLUSIVE, (), checked)
@@ -284,21 +293,17 @@ def check_finite_order_generator(A: DiffOp, ys, tol: float = 1e-10) -> Preserver
                                     "exact pointwise second-order scan")
         return PreserverVerdict(INCONCLUSIVE, (),
                                 f"order <= 2 and min 2*q_2 = {mn:.3g} >= 0")
-    count = 0
-    for y in ys:
-        M = np.zeros((A.n, A.n))
-        for i in range(A.n):
-            for j in range(A.n):
-                alpha = tuple((1 if k == i else 0) + (1 if k == j else 0)
-                              for k in range(A.n))
-                factor = 2.0 if i == j else 1.0
-                M[i, j] = factor * A.coefficient(alpha).eval(y)
-        lam = float(np.linalg.eigvalsh(M)[0])
-        count += 1
-        if lam < -tol * max(1.0, float(np.max(np.abs(M)))):
-            witnesses.append(Witness(y=tuple(y), d=1, min_eigenvalue=lam,
-                                     kind="second-order matrix"))
-    checked = f"second-order matrices at {count} points"
+    pts = [tuple(y) for y in ys]
+    pairs = [(i, j) for i in range(A.n) for j in range(A.n)]
+    second = [A.coefficient(tuple((k == i) + (k == j) for k in range(A.n))) for i, j in pairs]
+    factor = np.array([2.0 if i == j else 1.0 for i, j in pairs])[:, None]
+    for lo in range(0, len(pts), CLOUD_BLOCK):
+        block = pts[lo:lo + CLOUD_BLOCK]
+        M = (factor * evaluate(second, block)).T.reshape(-1, A.n, A.n)
+        ok, lam = psd_stack(M, tol)
+        witnesses += [Witness(y=block[k], d=1, min_eigenvalue=float(lam[k]),
+                              kind="second-order matrix") for k in np.flatnonzero(~ok)]
+    checked = f"second-order matrices at {len(pts)} points"
     if witnesses:
         return PreserverVerdict(FAIL, tuple(witnesses), checked)
     return PreserverVerdict(INCONCLUSIVE, (), checked)
@@ -309,6 +314,15 @@ def _require_nonempty(lambdas, trials, grid) -> None:
     for name, items in (("lambda", lambdas), ("trial", trials), ("grid", grid)):
         if len(items) == 0:
             raise ValueError(f"empty {name} list: the check would evaluate nothing")
+
+
+def _grid_witnesses(cells, grid, tol: float, kind: str) -> tuple:
+    """One witness per (lambda, trial, image) cell whose image dips below
+    -tol * scale on the grid, at its worst grid point."""
+    pts = list(grid)
+    worst = worst_points([q for _, _, q in cells], pts, tol)
+    return tuple(Witness(kind=f"{kind}={lam:g}", trial=p, point=tuple(pts[w[0]]), value=w[1])
+                 for (lam, p, _), w in zip(cells, worst) if w is not None)
 
 
 def resolvent_check(A: DiffOp, d: int, lambdas, trials, grid,
@@ -323,7 +337,7 @@ def resolvent_check(A: DiffOp, d: int, lambdas, trials, grid,
     _require_nonempty(lambdas, trials, grid)
     M = matrix_rep(A, d)
     dim = M.basis.dim
-    witnesses = []
+    cells = []  # (lambda, trial, image)
     singular = []
     for lam in lambdas:
         S = np.eye(dim) - float(lam) * M.entries
@@ -335,22 +349,15 @@ def resolvent_check(A: DiffOp, d: int, lambdas, trials, grid,
         for p in trials:
             if p.degree > d:
                 raise TruncationError("trial degree exceeds the restriction")
-            qv = S_inv @ M.basis.poly_to_vec(p)
-            q = M.basis.vec_to_poly(qv)
-            scale = max(1.0, q.max_abs_coeff())
-            for x in grid:
-                v = q.eval(x)
-                if v < -tol * scale:
-                    witnesses.append(Witness(kind=f"resolvent lambda={lam:g}",
-                                             trial=p, point=tuple(x), value=v))
-                    break
+            cells.append((lam, p, M.basis.vec_to_poly(S_inv @ M.basis.poly_to_vec(p))))
     if len(singular) == len(lambdas):
         raise ValueError(f"singular at every lambda in {singular}: nothing was evaluated")
+    witnesses = _grid_witnesses(cells, grid, tol, "resolvent lambda")
     checked = f"{len(list(lambdas))} resolvent values, degree {d}"
     if singular:
         checked += f"; singular at lambda in {singular}"
     if witnesses:
-        return PreserverVerdict(FAIL, tuple(witnesses), checked)
+        return PreserverVerdict(FAIL, witnesses, checked)
     return PreserverVerdict(INCONCLUSIVE, (), checked)
 
 
@@ -362,24 +369,18 @@ def one_plus_check(A: DiffOp, d: int, lambdas, trials, grid,
     semigroup (the sufficient direction); reported inconclusive with the
     lambda range in the summary.  Empty lists raise ValueError.
     """
-    witnesses = []
     lams = [float(l) for l in lambdas]
     _require_nonempty(lams, trials, grid)
+    cells = []
     for lam in lams:
         for p in trials:
             if p.degree > d:
                 raise TruncationError("trial degree exceeds the restriction")
-            q = p + lam * apply(A, p)
-            scale = max(1.0, q.max_abs_coeff())
-            for x in grid:
-                v = q.eval(x)
-                if v < -tol * scale:
-                    witnesses.append(Witness(kind=f"1+lambda*A at lambda={lam:g}",
-                                             trial=p, point=tuple(x), value=v))
-                    break
+            cells.append((lam, p, p + lam * apply(A, p)))
+    witnesses = _grid_witnesses(cells, grid, tol, "1+lambda*A at lambda")
     checked = f"(1 + lambda A) p scan, lambda in [{min(lams):g}, {max(lams):g}]"
     if witnesses:
-        return PreserverVerdict(FAIL, tuple(witnesses), checked)
+        return PreserverVerdict(FAIL, witnesses, checked)
     return PreserverVerdict(INCONCLUSIVE, (), checked)
 
 
@@ -394,22 +395,23 @@ def check_generator_field_sufficient(F: LevyField, ys, D: int,
     inadmissible point refutes.  Returns (verdict, operator-or-None).
     """
     witnesses = []
-    count = 0
-    for y in ys:
-        y = tuple(y)
-        S = F.sigma_at(y)
-        lam = float(np.linalg.eigvalsh(S)[0])
-        count += 1
-        if lam < -tol * max(1.0, float(np.max(np.abs(S)))):
-            witnesses.append(Witness(y=y, d=1, min_eigenvalue=lam, kind="sigma(y)"))
-            continue
-        if F.nu_field is not None:
-            nu_y = F.nu_field(y)
-            if nu_y is not None and any(w <= 0 for _, w in nu_y.atoms):
-                witnesses.append(Witness(y=y, kind="nu(y) weights", min_eigenvalue=-math.inf))
+    pts = [tuple(y) for y in ys]
+    entries = [q for row in F.sigma_polys for q in row]
+    for lo in range(0, len(pts), CLOUD_BLOCK):
+        block = pts[lo:lo + CLOUD_BLOCK]
+        ok, lam = psd_stack(evaluate(entries, block).T.reshape(-1, F.n, F.n), tol)
+        for y, ok_y, lam_y in zip(block, ok, lam.tolist()):
+            if not ok_y:
+                witnesses.append(Witness(y=y, d=1, min_eigenvalue=lam_y, kind="sigma(y)"))
+                continue
+            if F.nu_field is not None:
+                nu_y = F.nu_field(y)
+                if nu_y is not None and any(w <= 0 for _, w in nu_y.atoms):
+                    witnesses.append(Witness(y=y, kind="nu(y) weights",
+                                             min_eigenvalue=-math.inf))
     if witnesses:
         return PreserverVerdict(FAIL, tuple(witnesses),
-                                f"triple admissibility at {count} points"), None
+                                f"triple admissibility at {len(pts)} points"), None
     n = F.n
     coeffs: dict = {}
     zero = (0,) * n
@@ -433,7 +435,7 @@ def check_generator_field_sufficient(F: LevyField, ys, D: int,
             coeffs[tuple(alpha)] = q * (1.0 / mi_factorial(alpha))
     A = DiffOp(n, coeffs, max_order=D)
     verdict = PreserverVerdict(
-        PASS, (), f"triple admissible at all {count} sampled points (sampling only)")
+        PASS, (), f"triple admissible at all {len(pts)} sampled points (sampling only)")
     return verdict, A
 
 

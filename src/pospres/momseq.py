@@ -23,9 +23,10 @@ from .polyalg import (
     DimensionMismatchError,
     MultiIndex,
     Poly,
+    graded_basis,
+    hankel_index,
     iter_multiindices,
     iter_multiindices_leq,
-    mi_add,
     mi_binom,
     mi_degree,
     mi_factorial,
@@ -88,11 +89,15 @@ class DiscreteMeasure:
         return total
 
 
+MAX_SEQUENCE_ENTRIES = 100_000  # binom(n + order, n) above this is refused before allocation
+
+
 class MomentSeq:
     """Dense truncated real sequence (s_alpha) for |alpha| <= order.
 
     ``measure`` optionally records the discrete measure the sequence was
-    built from; constructive preserver checks use it as a certificate.
+    built from; constructive preserver checks use it as a certificate.  A
+    table of more than MAX_SEQUENCE_ENTRIES entries raises ValueError.
     """
 
     __slots__ = ("n", "order", "values", "measure")
@@ -101,6 +106,10 @@ class MomentSeq:
                  measure: DiscreteMeasure | None = None):
         if n < 1 or order < 0:
             raise ValueError("need n >= 1 and order >= 0")
+        entries = math.comb(n + order, n)
+        if entries > MAX_SEQUENCE_ENTRIES:
+            raise ValueError(f"a sequence of order {order} in {n} variables has {entries} "
+                             f"entries, above the cap of {MAX_SEQUENCE_ENTRIES}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "order", order)
         dense = {}
@@ -264,38 +273,60 @@ def conv_exp(s: MomentSeq, t: float) -> MomentSeq:
 # moment matrices and the PSD test
 # ---------------------------------------------------------------------------
 
+def moment_matrices(S: np.ndarray, n: int, d: int, weight=None) -> np.ndarray:
+    """Moment matrices of order d of the sequences in the rows of S, shape (rows, dim, dim).
+
+    Each row of S holds one sequence in graded order.  The plain matrices are
+    one gather through the Hankel table; ``weight`` lists localizing terms
+    (kappa, c) in graded order, c a scalar or one value per row, and entry
+    (beta, gamma) becomes the sum over the terms of c * s_{beta+gamma+kappa}.
+    """
+    if weight is None:
+        return S[:, hankel_index(n, d)]
+    out = np.zeros((len(S),) + hankel_index(n, d).shape)
+    for kappa, c in weight:
+        out += np.reshape(c, (-1, 1, 1)) * S[:, hankel_index(n, d, tuple(kappa))]
+    return out
+
+
+def psd_stack(A: np.ndarray, tol: float = 1e-10):
+    """(PSD?, smallest eigenvalue) for each matrix of the stack A, as two arrays.
+
+    One stacked eigvalsh; matrix k passes when its smallest eigenvalue is at
+    least -tol * max(1, max |A_k|).  A non-symmetric matrix raises ValueError.
+    """
+    if A.shape[-1] == 0:
+        return np.ones(len(A), dtype=bool), np.zeros(len(A))
+    if not np.array_equal(A, A.swapaxes(-1, -2)):
+        raise ValueError("moment matrix must be symmetric")
+    lam = np.linalg.eigvalsh(A)[:, 0]
+    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
+    return lam >= -tol * scale, lam
+
+
 def moment_matrix(s: MomentSeq, d: int, w: Poly | None = None) -> MomentMatrix:
-    """Moment matrix of order d, optionally localized by the polynomial w."""
+    """Moment matrix of order d, optionally localized by the polynomial w.
+
+    The one-sequence case of ``moment_matrices``.
+    """
     wdeg = 0 if w is None else int(max(w.degree, 0))
     if w is not None and w.n != s.n:
         raise DimensionMismatchError("weight polynomial arity differs")
     needed = 2 * d + wdeg
     if s.order < needed:
         raise TruncationError(f"need moments to order {needed}, sequence has {s.order}")
-    basis = BasisMap(s.n, d)
-    M = np.zeros((basis.dim, basis.dim))
-    for i, beta in enumerate(basis.indices):
-        for j in range(i, basis.dim):
-            gamma = basis.indices[j]
-            base = mi_add(beta, gamma)
-            if w is None:
-                v = s.values[base]
-            else:
-                v = sum(c * s.values[mi_add(base, kappa)] for kappa, c in w.sorted_terms())
-            M[i, j] = M[j, i] = v
-    return MomentMatrix(basis, M, w)
+    S = np.fromiter(s.values.values(), dtype=float, count=len(s.values))[None]
+    weight = None if w is None else w.sorted_terms()
+    return MomentMatrix(graded_basis(s.n, d), moment_matrices(S, s.n, d, weight)[0], w)
 
 
 def is_psd(M: MomentMatrix, tol: float = 1e-10):
-    """(PSD?, smallest eigenvalue) with tolerance relative to the matrix scale."""
-    A = M.entries
-    if A.shape[0] == 0:
-        return True, 0.0
-    if not np.allclose(A, A.T, rtol=0.0, atol=0.0):
-        raise ValueError("moment matrix must be symmetric")
-    lam_min = float(np.linalg.eigvalsh(A)[0])
-    scale = max(1.0, float(np.max(np.abs(A))))
-    return lam_min >= -tol * scale, lam_min
+    """(PSD?, smallest eigenvalue) with tolerance relative to the matrix scale.
+
+    The one-matrix case of ``psd_stack``.
+    """
+    ok, lam = psd_stack(M.entries[None], tol)
+    return bool(ok[0]), float(lam[0])
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,14 @@ lexicographic comparison of exponent tuples) fixes a basis of the space of
 polynomials of degree <= d.  That ordering makes the matrix of any
 constant-coefficient differential operator triangular with the constant
 term on the diagonal, which the operator-algebra layer relies on for
-logarithms and exactness arguments.
+logarithms and exactness arguments.  The shared index tables of that basis
+(``graded_basis``, the Hankel tables of ``hankel_index``) and the evaluation
+of polynomials over whole point clouds (``evaluate``) live here too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from typing import Iterable, Iterator, Sequence
@@ -253,17 +256,13 @@ class Poly:
     # -- analysis ----------------------------------------------------------
 
     def eval(self, y: Sequence[float]) -> float:
-        """Evaluate at the point y, summing terms in graded basis order."""
+        """Evaluate at the point y, summing terms in graded basis order.
+
+        The one-point case of ``evaluate``: both make the arithmetic of ``_term_sum``.
+        """
         if len(y) != self.n:
             raise DimensionMismatchError(f"point has length {len(y)}, expected {self.n}")
-        total = 0.0
-        for alpha, c in self.sorted_terms():
-            m = c
-            for yi, ai in zip(y, alpha):
-                if ai:
-                    m *= yi ** ai
-            total += m
-        return total
+        return _term_sum(self.sorted_terms(), lambda i, a: y[i] ** a)
 
     def derive(self, alpha: MultiIndex) -> "Poly":
         """Partial derivative d^alpha with exact falling-factorial factors."""
@@ -358,6 +357,98 @@ class BasisMap:
         if len(v) != self.dim:
             raise DimensionMismatchError("vector length does not match basis dimension")
         return Poly(self.n, {a: float(v[i]) for i, a in enumerate(self.indices) if v[i] != 0.0})
+
+
+@functools.lru_cache(maxsize=256)
+def graded_basis(n: int, d: int) -> BasisMap:
+    """The shared (immutable) BasisMap of degree <= d in n variables."""
+    return BasisMap(n, d)
+
+
+@functools.lru_cache(maxsize=256)
+def hankel_index(n: int, d: int, shift: MultiIndex | None = None) -> np.ndarray:
+    """H[i, j] = graded index of beta_i + beta_j (+ shift) over the basis of degree <= d.
+
+    A graded index does not depend on the truncation order, so S[..., H] gathers
+    the (shifted) moment matrix from sequences stored in graded order.  The
+    table is read-only because every caller shares it.
+    """
+    basis = graded_basis(n, d)
+    shift = (0,) * n if shift is None else tuple(shift)
+    pos = graded_basis(n, 2 * d + mi_degree(shift))._pos
+    H = np.array([[pos[mi_add(mi_add(b, g), shift)] for g in basis.indices]
+                  for b in basis.indices], dtype=np.intp)
+    H.flags.writeable = False
+    return H
+
+
+# ---------------------------------------------------------------------------
+# point clouds: every check evaluates whole clouds, CLOUD_BLOCK points at a time
+# ---------------------------------------------------------------------------
+
+CLOUD_BLOCK = 4096  # points per pass of the batched kernels; bounds their memory
+
+
+def as_cloud(points, n: int) -> np.ndarray:
+    """The points as a float array of shape (len(points), n)."""
+    try:
+        X = np.asarray(points, dtype=float)
+    except ValueError:
+        raise DimensionMismatchError(f"points must all have length {n}") from None
+    if X.ndim == 2 and X.shape[1] == n:
+        return X
+    if X.ndim and len(X) == 0:
+        return np.zeros((0, n))
+    raise DimensionMismatchError(f"points must all have length {n}")
+
+
+def _powers(column: np.ndarray, a: int) -> np.ndarray:
+    """column ** a elementwise by Python's float power (numpy's may round differently)."""
+    values, where = np.unique(column, return_inverse=True)
+    return np.array([v ** a for v in values.tolist()], dtype=float)[where]
+
+
+def _term_sum(terms, power):
+    """sum over the terms of c * power(1, a_1) * ... * power(n, a_n), skipping a_i = 0.
+
+    The arithmetic of every polynomial evaluation, in the order of the terms;
+    ``power(i, a)`` is y_i ** a at one point, or the column of it over a cloud.
+    """
+    total = 0.0
+    for alpha, c in terms:
+        m = c
+        for i, a in enumerate(alpha):
+            if a:
+                m = m * power(i, a)
+        total = total + m
+    return total
+
+
+def evaluate(polys, points) -> np.ndarray:
+    """Values of each polynomial at each point, shape (len(polys), len(points)).
+
+    Each entry is bit-identical to ``Poly.eval`` at that point: the same
+    ``_term_sum`` on columns, with the powers (shared by all polynomials)
+    taken by Python's float power.
+    """
+    polys = list(polys)
+    if not polys:
+        return np.zeros((0, len(points)))
+    n = polys[0].n
+    if any(p.n != n for p in polys):
+        raise DimensionMismatchError("variable counts differ")
+    X = as_cloud(points, n)
+    powers = {}
+
+    def power(i, a):
+        if (i, a) not in powers:
+            powers[i, a] = _powers(X[:, i], a)
+        return powers[i, a]
+
+    out = np.zeros((len(polys), len(X)))
+    for row, p in zip(out, polys):
+        row[:] = _term_sum(p.sorted_terms(), power)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,11 @@ three-valued:
   so the theory guarantees preservation, not just the samples.
 * ``inconclusive`` -- every sampled test passed but no certificate is
   attached; the necessary conditions hold at this truncation.
+
+Every check takes its sample points as one cloud, CLOUD_BLOCK points at a
+time: the coefficient sequences of all points, their moment matrices and
+one stacked eigenvalue call, each result bit-identical to that of its point
+checked alone.
 """
 
 from __future__ import annotations
@@ -25,9 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polyalg import (
+    CLOUD_BLOCK,
     DimensionMismatchError,
     Poly,
-    iter_multiindices,
+    as_cloud,
+    evaluate,
+    graded_basis,
     mi_degree,
     mi_factorial,
 )
@@ -38,7 +46,7 @@ from .diffop import (
     TruncationError,
     apply,
 )
-from .momseq import MomentSeq, is_psd, moment_matrix
+from .momseq import MomentSeq, moment_matrices, psd_stack
 
 PASS = "pass"
 FAIL = "fail"
@@ -129,37 +137,76 @@ class KDescriptor:
         return cls(LATTICE_BALLS, n, (float(radius),))
 
     def contains(self, x) -> bool:
-        """Point membership (lattice variants use exact rounding distance)."""
+        """Point membership: the one-point case of ``members``."""
         if len(x) != self.n:
             raise DimensionMismatchError("point has wrong dimension")
+        return bool(self.members([x])[0])
+
+    def members(self, points) -> np.ndarray:
+        """Membership of each point of a cloud, as a bool array.
+
+        Box, half-line and lattice points have closed forms; ball and lattice
+        balls compare math.dist with the radius + 1e-12, and a cone asks
+        whether nnls reaches the point within 1e-9 * max(1, |x|) (``_in_cone``).
+        """
+        X = as_cloud(points, self.n)
         if self.variant == FULL_SPACE:
-            return True
+            return np.ones(len(X), dtype=bool)
         if self.variant == COMPACT_BOX:
-            return all(lo <= xi <= hi for xi, (lo, hi) in zip(x, self.data))
+            return _in_box(X, self.data)
         if self.variant == COMPACT_BALL:
             center, radius = self.data
-            return math.dist(x, center) <= radius + 1e-12
+            return _within(X, np.broadcast_to(center, X.shape), radius + 1e-12)
         if self.variant == POLYHEDRAL_CONE:
-            return _in_cone(x, self.data)
+            return _in_cone(X, self.data)
         if self.variant == COMPACT_TIMES_HALFLINE:
-            if x[-1] < 0:
-                return False
-            return all(lo <= xi <= hi for xi, (lo, hi) in zip(x[:-1], self.data))
+            return ~(X[:, -1] < 0) & _in_box(X[:, :-1], self.data)
         if self.variant == LATTICE_BALLS:
-            (radius,) = self.data
-            nearest = [round(xi) for xi in x]
-            return math.dist(x, nearest) <= radius + 1e-12
+            return _within(X, np.rint(X), self.data[0] + 1e-12)
         if self.variant == LATTICE_POINTS:
-            return all(abs(xi - round(xi)) <= 1e-12 for xi in x)
+            return np.all(np.abs(X - np.rint(X)) <= 1e-12, axis=1)
         raise ValueError(self.variant)
 
 
-def _in_cone(x, rays, tol: float = 1e-9) -> bool:
-    """Membership in the conic hull of the rays via nonnegative least squares."""
-    from scipy.optimize import nnls
+def _in_box(X: np.ndarray, bounds) -> np.ndarray:
+    lo, hi = np.array(bounds, dtype=float).reshape(-1, 2).T
+    return np.all((lo <= X) & (X <= hi), axis=1)
+
+
+def _within(X: np.ndarray, C: np.ndarray, limit: float) -> np.ndarray:
+    """math.dist(x, c) <= limit for each pair of rows."""
+    return np.array([math.dist(x, c) <= limit for x, c in zip(X.tolist(), C.tolist())],
+                    dtype=bool)
+
+
+def _in_cone(X: np.ndarray, rays, tol: float = 1e-9) -> np.ndarray:
+    """Membership in the conic hull of the rays: the residual of nonnegative
+    least squares is at most tol * max(1, |x|).
+
+    The rays are solved once for the whole cloud.  For independent rays with
+    condition number at most 1e4, the least-squares coefficients c and
+    residual r bound the distance to the cone: it is |r| when c >= 0, and at
+    least max(|r|, sigma_min * max(-c)) otherwise.  Points whose bound lies
+    clear of the threshold (below half of it, or above twice it) are decided
+    by it; the rest, near the boundary, and all points of other ray sets are
+    decided by nnls, one point at a time.
+    """
     A = np.array(rays, dtype=float).T
-    coeffs, resid = nnls(A, np.asarray(x, dtype=float))
-    return resid <= tol * max(1.0, float(np.linalg.norm(x)))
+    thresh = tol * np.maximum(1.0, np.linalg.norm(X, axis=1))
+    inside = np.zeros(len(X), dtype=bool)
+    undecided = np.ones(len(X), dtype=bool)
+    sv = np.linalg.svd(A, compute_uv=False)
+    if len(X) and A.shape[1] <= A.shape[0] and sv[-1] * 1e4 >= sv[0]:
+        C = np.linalg.lstsq(A, X.T, rcond=None)[0]
+        resid = np.linalg.norm(X.T - A @ C, axis=0)
+        neg = np.maximum(0.0, -C.min(axis=0))
+        inside = (neg == 0.0) & (resid <= 0.5 * thresh)
+        undecided = ~inside & (np.maximum(resid, sv[-1] * neg) <= 2.0 * thresh)
+    if undecided.any():
+        from scipy.optimize import nnls
+        for k in np.flatnonzero(undecided):
+            inside[k] = nnls(A, X[k])[1] <= tol * max(1.0, float(np.linalg.norm(X[k])))
+    return inside
 
 
 def ksharp(K: KDescriptor) -> KDescriptor:
@@ -301,7 +348,8 @@ def grid_points(K: KDescriptor, lo: float = -10.0, hi: float = 10.0,
     """Uniform evaluation grid clipped to K; m counts points per axis.
 
     The default is 2001 points on a line and 41 per axis in higher
-    dimension (the product grid grows geometrically with n).
+    dimension (the product grid grows geometrically with n).  Points come
+    in product order, the first axis outermost.
     """
     if m is None:
         m = 2001 if K.n == 1 else 41
@@ -314,10 +362,8 @@ def grid_points(K: KDescriptor, lo: float = -10.0, hi: float = 10.0,
         axes = [np.linspace(0.0, hi, m)]
     else:
         axes = [np.linspace(lo, hi, m)] * K.n
-    pts = [()]
-    for ax in axes:
-        pts = [p + (float(x),) for p in pts for x in ax]
-    return [p for p in pts if K.contains(p)]
+    X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, K.n)
+    return [tuple(p) for p in X[K.members(X)].tolist()]
 
 
 def square_trials(n: int, centers, power: int = 1) -> list:
@@ -353,20 +399,56 @@ def quadratic_square_trials(bs, cs) -> list:
 
 
 # ---------------------------------------------------------------------------
-# coefficient sequence at a point
+# coefficient sequences and polynomial values over a point cloud
 # ---------------------------------------------------------------------------
 
-def coefficient_sequence(T: DiffOp, y, order: int) -> MomentSeq:
-    """The sequence s_alpha = alpha! q_alpha(y) up to the given order."""
+def coefficient_sequences(T: DiffOp, points, order: int) -> np.ndarray:
+    """Row k holds s_alpha = alpha! q_alpha(y_k) for |alpha| <= order, in graded order.
+
+    Each entry is bit-identical to ``coefficient_sequence`` at that point alone.
+    """
     if T.max_order is not None and T.max_order < order:
         raise TruncationError(
             f"need coefficients to order {order}, operator truncated at {T.max_order}")
-    vals = {}
-    for alpha in iter_multiindices(T.n, order):
-        q = T.coeffs.get(alpha)
-        if q is not None:
-            vals[alpha] = mi_factorial(alpha) * q.eval(y)
-    return MomentSeq(T.n, order, vals)
+    basis = graded_basis(T.n, order)
+    alphas = [a for a in basis.indices if a in T.coeffs]
+    values = evaluate([T.coeffs[a] for a in alphas], as_cloud(points, T.n))
+    S = np.zeros((values.shape[1], basis.dim))
+    for alpha, v in zip(alphas, values):
+        column = float(mi_factorial(alpha)) * v
+        if not np.isfinite(column).all():
+            raise ValueError(f"non-finite entry at {alpha}")
+        S[:, basis.index_of(alpha)] = column
+    return S
+
+
+def coefficient_sequence(T: DiffOp, y, order: int) -> MomentSeq:
+    """The sequence s_alpha = alpha! q_alpha(y) up to the given order.
+
+    The one-point case of ``coefficient_sequences``.
+    """
+    S = coefficient_sequences(T, [y], order)
+    return MomentSeq(T.n, order, dict(zip(graded_basis(T.n, order).indices, S[0].tolist())))
+
+
+def worst_points(polys, points, tol: float) -> list:
+    """For each polynomial, (point index, value) at its worst point of the cloud, or None.
+
+    A polynomial has a worst point when some value lies below -tol * scale,
+    scale = max(1, its largest coefficient magnitude); it is the first point
+    of least value.  Values are those of ``Poly.eval``.
+    """
+    out = [None] * len(polys)
+    floor = -tol * np.array([max(1.0, q.max_abs_coeff()) for q in polys])
+    for lo in range(0, len(points), CLOUD_BLOCK):
+        vals = evaluate(polys, points[lo:lo + CLOUD_BLOCK])
+        bad = vals < floor[:, None]
+        vals = np.where(bad, vals, np.inf)
+        for j in np.flatnonzero(bad.any(axis=1)):
+            k = int(np.argmin(vals[j]))
+            if out[j] is None or vals[j, k] < out[j][1]:
+                out[j] = (lo + k, float(vals[j, k]))
+    return out
 
 
 def _certificate_supported_in(T: DiffOp, K_sharp: KDescriptor | None) -> bool:
@@ -381,7 +463,7 @@ def _certificate_supported_in(T: DiffOp, K_sharp: KDescriptor | None) -> bool:
             return False
         if K_sharp is None:  # full space: any measure shifts within R^n
             return True
-        return all(K_sharp.contains(p) for p, _ in mu.atoms)
+        return bool(K_sharp.members([p for p, _ in mu.atoms]).all())
     if kind == SUBSTITUTION:
         # substitution preservers are certified for the full space only
         return K_sharp is None and cert[2] is not None
@@ -400,17 +482,16 @@ def check_preserver_rn(T: DiffOp, d: int, ys, tol: float = 1e-10) -> PreserverVe
     inconclusive unless the operator carries a measure certificate.  An
     empty point list raises ValueError.
     """
-    witnesses = []
-    count = 0
-    for y in ys:
-        s = coefficient_sequence(T, y, 2 * d)
-        ok, lam = is_psd(moment_matrix(s, d), tol)
-        count += 1
-        if not ok:
-            witnesses.append(Witness(y=tuple(y), d=d, min_eigenvalue=lam))
-    if count == 0:
+    pts = [tuple(y) for y in ys]
+    if not pts:
         raise ValueError("empty point list: the check would evaluate nothing")
-    checked = f"moment matrices of order {d} at {count} points"
+    witnesses = []
+    for lo in range(0, len(pts), CLOUD_BLOCK):
+        S = coefficient_sequences(T, pts[lo:lo + CLOUD_BLOCK], 2 * d)
+        ok, lam = psd_stack(moment_matrices(S, T.n, d), tol)
+        witnesses += [Witness(y=pts[lo + k], d=d, min_eigenvalue=float(lam[k]))
+                      for k in np.flatnonzero(~ok)]
+    checked = f"moment matrices of order {d} at {len(pts)} points"
     if witnesses:
         return PreserverVerdict(FAIL, tuple(witnesses), checked)
     if _certificate_supported_in(T, None):
@@ -428,24 +509,29 @@ def check_preserver_halfline(T: DiffOp, d: int, ys, tol: float = 1e-10) -> Prese
     """
     if T.n != 1:
         raise DimensionMismatchError("half-line check is univariate")
-    witnesses = []
-    count = 0
-    x = Poly.variable(1, 0)
+    pts = []
     for y in ys:
         (y0,) = tuple(y) if isinstance(y, (tuple, list)) else (y,)
         if y0 < 0:
             raise ValueError("sample points must lie in [0, inf)")
-        s = coefficient_sequence(T, (y0,), 2 * d + 1)
-        ok, lam = is_psd(moment_matrix(s, d), tol)
-        count += 1
-        if not ok:
-            witnesses.append(Witness(y=(y0,), d=d, min_eigenvalue=lam))
-        okl, laml = is_psd(moment_matrix(s, d, w=x + Poly.constant(1, y0)), tol)
-        if not okl:
-            witnesses.append(Witness(y=(y0,), d=d, min_eigenvalue=laml, kind="localized"))
-    if count == 0:
+        pts.append((y0,))
+    if not pts:
         raise ValueError("empty point list: the check would evaluate nothing")
-    checked = f"moment + localized matrices of order {d} at {count} points"
+    witnesses = []
+    for lo in range(0, len(pts), CLOUD_BLOCK):
+        block = pts[lo:lo + CLOUD_BLOCK]
+        S = coefficient_sequences(T, block, 2 * d + 1)
+        ok, lam = psd_stack(moment_matrices(S, 1, d), tol)
+        # the weight x + y0 in graded order; at y0 = 0 its constant term adds 0.0
+        weight = [((0,), np.array(block, dtype=float)[:, 0]), ((1,), 1.0)]
+        okl, laml = psd_stack(moment_matrices(S, 1, d, weight), tol)
+        for k in np.flatnonzero(~(ok & okl)):
+            if not ok[k]:
+                witnesses.append(Witness(y=block[k], d=d, min_eigenvalue=float(lam[k])))
+            if not okl[k]:
+                witnesses.append(Witness(y=block[k], d=d, min_eigenvalue=float(laml[k]),
+                                         kind="localized"))
+    checked = f"moment + localized matrices of order {d} at {len(pts)} points"
     if witnesses:
         return PreserverVerdict(FAIL, tuple(witnesses), checked)
     halfline = KDescriptor.cone([(1.0,)])
@@ -518,37 +604,19 @@ def falsify_on_grid(T: DiffOp, K: KDescriptor, trials, grid,
     """Pure falsifier: apply T to trial polynomials and scan a grid over K.
 
     The caller guarantees the trials are nonnegative on K.  Any image value
-    below -tol * scale (scale = the image's largest coefficient magnitude)
-    is a concrete witness.  This check can only refute, so the all-pass
+    below -tol * scale (scale = max(1, the image's largest coefficient
+    magnitude)) is a concrete witness; a failing trial gives one witness, at
+    its worst grid point.  This check can only refute, so the all-pass
     verdict is inconclusive by construction.
     """
-    witnesses = []
-    evaluated = 0
-    pts = [tuple(float(v) for v in x) for x in grid if K.contains(x)]
-    xs = np.array([p[0] for p in pts]) if T.n == 1 and pts else None
-    for p in trials:
-        q = apply(T, p)
-        scale = max(1.0, q.max_abs_coeff())
-        if xs is not None:
-            deg = int(max(q.degree, 0))
-            coeffs = [q.coeff((k,)) for k in range(deg + 1)]
-            vals = np.polynomial.polynomial.polyval(xs, coeffs)
-            evaluated += len(xs)
-            bad = np.nonzero(vals < -tol * scale)[0]
-            if len(bad):
-                i = int(bad[np.argmin(vals[bad])])
-                witnesses.append(Witness(kind="grid", trial=p, point=pts[i],
-                                         value=float(vals[i])))
-            continue
-        for x in pts:
-            v = q.eval(x)
-            evaluated += 1
-            if v < -tol * scale:
-                witnesses.append(Witness(kind="grid", trial=p, point=x, value=v))
-                break  # one witness per trial polynomial is enough
-    checked = f"{len(trials)} trials x grid ({evaluated} evaluations)"
+    X = as_cloud(grid, K.n)
+    pts = [tuple(x) for x in X[K.members(X)].tolist()]
+    worst = worst_points([apply(T, p) for p in trials], pts, tol)
+    witnesses = tuple(Witness(kind="grid", trial=p, point=pts[w[0]], value=w[1])
+                      for p, w in zip(trials, worst) if w is not None)
+    checked = f"{len(trials)} trials x grid ({len(trials) * len(pts)} evaluations)"
     if witnesses:
-        return PreserverVerdict(FAIL, tuple(witnesses), checked)
+        return PreserverVerdict(FAIL, witnesses, checked)
     return PreserverVerdict(INCONCLUSIVE, (), checked)
 
 

@@ -44,6 +44,18 @@ def test_golden_output(name, run_cli, monkeypatch):
     assert out.getvalue() == golden
 
 
+@pytest.fixture
+def run_here(monkeypatch, capsys):
+    """Run the CLI in this process from tests/; returns (exit code, stdout, stderr)."""
+    monkeypatch.chdir(HERE)
+
+    def run(*argv):
+        out = io.StringIO()
+        code = cli.run(list(argv), out)
+        return code, out.getvalue(), capsys.readouterr().err
+    return run
+
+
 def test_exit_code_fail_with_witnesses(run_cli):
     cp = run_cli("check-generator", "--op", "data/scaling3.op", "--d", "2",
                  "--t", "0.005", "--ys=0.5:1.5:3")
@@ -53,13 +65,14 @@ def test_exit_code_fail_with_witnesses(run_cli):
     assert cp.stdout == golden
 
 
-def test_exit_code_usage_error(run_cli):
-    assert run_cli("no-such-command").returncode == 2
-    assert run_cli("tau-drift").returncode == 2  # missing --a
+def test_exit_code_usage_error(run_cli, run_here):
     cp = run_cli("exp", "--op", "data/bad.op", "--t", "1", "--d", "2")
     assert cp.returncode == 2
     assert "error" in cp.stderr.lower()
-    for argv in (["seq", "conv", "--a", "data/d1.seq"],
+    assert run_here("no-such-command")[0] == 2
+    assert run_here("tau-drift")[0] == 2  # missing --a
+    for argv in (["exp", "--op", "data/bad.op", "--t", "1", "--d", "2"],
+                 ["seq", "conv", "--a", "data/d1.seq"],
                  ["seq", "hadamard", "--b", "data/d2.seq"],
                  ["seq", "hankel", "--d", "2"],
                  ["seq", "carleman"],
@@ -68,9 +81,9 @@ def test_exit_code_usage_error(run_cli):
                   "--ys=0:1:0"],
                  ["curve", "drift", "--grid", "1:8:0"],
                  ["curve", "drift", "--grid=-1:0:3"]):  # no time t > 0
-        cp = run_cli(*argv)
-        assert cp.returncode == 2, argv
-        assert cp.stderr.startswith("error: ") and "Traceback" not in cp.stderr, argv
+        code, _, err = run_here(*argv)
+        assert code == 2, argv
+        assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -90,6 +103,15 @@ def test_malformed_input_file_is_usage_error(argv, text, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: line ")
 
 
+def test_oversized_sequence_file_is_usage_error(tmp_path, run_here):
+    # binom(100002, 2) = 5e9 entries would be allocated densely
+    path = tmp_path / "huge.seq"
+    path.write_text("[100000,0] = 1\n")
+    code, out, err = run_here("seq", "carleman", "--seq", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: a sequence of order 100000 in 2 variables has ")
+
+
 def test_internal_error_exits_2_without_traceback(monkeypatch, capsys):
     def broken(args, out):
         raise RuntimeError("broken command")
@@ -100,64 +122,72 @@ def test_internal_error_exits_2_without_traceback(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_tau_drift_cli_bracket_inside_published_interval(run_cli):
-    cp = run_cli("tau-drift", "--a", "1", "--tol", "1e-5")
-    line = cp.stdout.splitlines()[0]
+def test_import_loads_no_scipy(run_python):
+    # scipy.linalg and scipy.optimize are imported by the calls that need them
+    cp = run_python("-c", "import sys, pospres; "
+                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "[]\n"
+
+
+def test_tau_drift_cli_bracket_inside_published_interval(run_here):
+    code, out, _ = run_here("tau-drift", "--a", "1", "--tol", "1e-5")
+    line = out.splitlines()[0]
     lo, hi = [float(tok) for tok in line.split("[")[1].rstrip("]").split(",")]
     assert 1.1675 < lo and hi < 1.1676
 
 
-def test_tau_drift_below_boundary_reports_no_threshold(run_cli):
-    cp = run_cli("tau-drift", "--a", "0.44721359")
-    assert cp.returncode == 0
-    assert "no threshold" in cp.stdout
-    assert "no sign change up to t = 50" in cp.stdout
+def test_tau_drift_below_boundary_reports_no_threshold(run_here):
+    code, out, _ = run_here("tau-drift", "--a", "0.44721359")
+    assert code == 0
+    assert "no threshold" in out
+    assert "no sign change up to t = 50" in out
 
 
-def test_seq_conv_prints_powers_of_three(run_cli):
-    cp = run_cli("seq", "conv", "--a", "data/d1.seq", "--b", "data/d2.seq")
-    values = [float(line.split("=")[1]) for line in cp.stdout.splitlines()]
+def test_seq_conv_prints_powers_of_three(run_here):
+    _, out, _ = run_here("seq", "conv", "--a", "data/d1.seq", "--b", "data/d2.seq")
+    values = [float(line.split("=")[1]) for line in out.splitlines()]
     assert values == [3.0 ** k for k in range(7)]
 
 
-def test_check_preserver_heat_inconclusive_positive(run_cli):
-    cp = run_cli("check-preserver", "--op", "data/heat.op", "--K", "full", "--d", "3")
-    assert cp.returncode == 0
-    assert cp.stdout.startswith("status: INCONCLUSIVE")
+def test_check_preserver_heat_inconclusive_positive(run_here):
+    code, out, _ = run_here("check-preserver", "--op", "data/heat.op", "--K", "full", "--d", "3")
+    assert code == 0
+    assert out.startswith("status: INCONCLUSIVE")
 
 
-def test_seq_hankel_failing_exit_code(tmp_path, run_cli):
+def test_seq_hankel_failing_exit_code(tmp_path, run_here):
     bad = tmp_path / "bad.seq"
     bad.write_text("[0] = 1\n[1] = 2\n[2] = 1\n[3] = 0\n[4] = 1\n")
-    cp = run_cli("seq", "hankel", "--seq", str(bad), "--d", "1")
-    assert cp.returncode == 1
-    assert "psd=no" in cp.stdout
+    code, out, _ = run_here("seq", "hankel", "--seq", str(bad), "--d", "1")
+    assert code == 1
+    assert "psd=no" in out
 
 
-def test_curve_csv_written(tmp_path, run_cli):
+def test_curve_csv_written(tmp_path, run_here):
     out = tmp_path / "curve.csv"
-    cp = run_cli("curve", "drift", "--a", "1", "--grid", "0.5:2:4", "--csv", str(out))
-    assert cp.returncode == 0
+    code, _, _ = run_here("curve", "drift", "--a", "1", "--grid", "0.5:2:4", "--csv", str(out))
+    assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "t,m"
     assert len(lines) == 5
 
 
-def test_operator_output_reparses(run_cli):
+def test_operator_output_reparses(run_here):
     from pospres.diffop import parse_operator
-    cp = run_cli("exp", "--op", "data/drift.op", "--t", "2.0", "--d", "2")
-    T = parse_operator(cp.stdout)
+    _, out, _ = run_here("exp", "--op", "data/drift.op", "--t", "2.0", "--d", "2")
+    T = parse_operator(out)
     assert T.coefficient((0,)).coeff((0,)) == 1.0
 
 
-def test_check_preserver_from_measure_file(run_cli):
-    cp = run_cli("check-preserver", "--measure", "data/mix.measure", "--K", "full",
-                 "--d", "3")
-    assert cp.returncode == 0
-    assert cp.stdout == (HERE / "golden" / "check_measure.txt").read_text()
-    assert cp.stdout.startswith("status: PASS")
+def test_check_preserver_from_measure_file(run_here):
+    code, out, _ = run_here("check-preserver", "--measure", "data/mix.measure", "--K", "full",
+                            "--d", "3")
+    assert code == 0
+    assert out == (HERE / "golden" / "check_measure.txt").read_text()
+    assert out.startswith("status: PASS")
     # same mixture is refuted on the half-line: one atom is negative
-    cp2 = run_cli("check-preserver", "--measure", "data/mix.measure", "--K", "cone:1",
-                  "--d", "3")
-    assert cp2.returncode == 1
-    assert run_cli("check-preserver", "--K", "full", "--d", "3").returncode == 2
+    code2, _, _ = run_here("check-preserver", "--measure", "data/mix.measure", "--K", "cone:1",
+                           "--d", "3")
+    assert code2 == 1
+    assert run_here("check-preserver", "--K", "full", "--d", "3")[0] == 2

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from pospres.polyalg import Poly
+from pospres.polyalg import DimensionMismatchError, Poly
 from pospres.diffop import DiffOp, apply, exp_op, matrix_rep
 from pospres.momseq import DiscreteMeasure, MomentSeq, dop_from_seq, from_measure
 from pospres.preserver import (
@@ -291,6 +291,18 @@ def test_field_sufficient_fails_on_sign_changing_diffusion():
     verdict, A = check_generator_field_sufficient(F, [(-1.0,), (1.0,)], 4)
     assert verdict.status == FAIL and A is None
     assert verdict.witnesses[0].y == (-1.0,)
+
+
+@pytest.mark.parametrize("points", [[()], [[], []], [(0.5, 1.0, 2.0)]])
+def test_pointwise_generator_checks_reject_points_of_wrong_length(points):
+    # a zero-length point is a wrong point, not an empty cloud to skip
+    x1, x2, zero = Poly.variable(2, 0), Poly.variable(2, 1), Poly.zero(2)
+    A = DiffOp(2, {(2, 0): x1 * x1, (0, 2): x2 * x2})
+    F = LevyField(0.0, ((x1 * x1, zero), (zero, x2 * x2)), (zero, zero))
+    with pytest.raises(DimensionMismatchError):
+        check_finite_order_generator(A, points)
+    with pytest.raises(DimensionMismatchError):
+        check_generator_field_sufficient(F, points, 4)
 
 
 def test_field_sufficient_scaling_drift():

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from pospres.polyalg import Poly
+from pospres.polyalg import DimensionMismatchError, Poly
 from pospres.diffop import DiffOp, apply, exp_op
 from pospres.momseq import DiscreteMeasure, dop_from_seq, from_measure
 from pospres.preserver import (
@@ -164,6 +164,16 @@ def test_preserver_checks_reject_empty_point_list(check):
     # no point means nothing checked, so no verdict may be reported
     with pytest.raises(ValueError, match="empty point list"):
         check(DiffOp.identity(1), 2, [])
+
+
+@pytest.mark.parametrize("points", [[()], [[], []], [(0.5, 1.0)]])
+def test_checks_reject_points_of_wrong_length(points):
+    # a zero-length point is a wrong point, not an empty cloud to skip
+    T = DiffOp.identity(1)
+    with pytest.raises(DimensionMismatchError):
+        check_preserver_rn(T, 1, points)
+    with pytest.raises(DimensionMismatchError):
+        falsify_on_grid(T, KDescriptor.full(1), [X * X], points)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
-"""Property tests for the record file formats and the constant-coefficient algebra.
+"""Property tests for the record file formats, the constant-coefficient
+algebra and the batched point-cloud kernel.
 
 Round trips: format -> parse -> format is byte-identical and the parsed
 object equals the original.  Fuzzing: mutated files, random lines and random
 polynomial text either parse or raise ValueError, never any other exception.
 Constant-coefficient exp, log, invert and compose return constant operators
-and agree with the dense matrix route.  Every test is derandomized with a
-bounded example count, so the suite stays deterministic.
+and agree with the dense matrix route.  The cloud checks give the verdicts,
+witnesses and bit-identical eigenvalues of a per-point reference written
+here with plain loops.  Every test is derandomized with a bounded example
+count, so the suite stays deterministic.
 """
 
+import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +20,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from pospres.polyalg import Poly, iter_multiindices, mi_factorial, parse_poly
+from pospres.polyalg import Poly, evaluate, iter_multiindices, mi_factorial, parse_poly
 from pospres.diffop import (
     DiffOp,
+    apply,
     compose,
     exp_op,
     format_operator,
@@ -29,12 +35,31 @@ from pospres.diffop import (
 from pospres.momseq import (
     DiscreteMeasure,
     MomentSeq,
+    dop_from_seq,
     format_measure,
     format_sequence,
+    from_measure,
     parse_measure,
     parse_sequence,
 )
-from pospres.levygen import LevyTriple, format_levy_triple, parse_levy_triple
+from pospres.levygen import (
+    LevyTriple,
+    check_finite_order_generator,
+    check_generator_rn,
+    format_levy_triple,
+    parse_levy_triple,
+)
+from pospres.preserver import (
+    FAIL,
+    INCONCLUSIVE,
+    PASS,
+    KDescriptor,
+    check_preserver_halfline,
+    check_preserver_rn,
+    coefficient_sequence,
+    falsify_on_grid,
+)
+from pospres.eventual import h2_closed, sigma_curve
 
 DATA = Path(__file__).parent / "data"
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -136,9 +161,7 @@ PARSERS = {
     "triple": (parse_levy_triple, ["heat.triple"],
                "a0 = -0.5\nsigma = [[2, 0.5], [0.5, 1]]\nb = (1, -1)\nnu (1, 2) 0.25\n"),
 }
-# Mutations insert no digits: a sequence file's largest index sets the size of
-# its dense table, so an inserted `[1,2999]` would allocate millions of entries.
-MUTATION_CHARS = "[]()=,.#-+e x^*\n\t"
+MUTATION_CHARS = "[]()=,.#-+e x^*\n\t0123456789"
 TOKENS = ["[0]", "[1,2]", "[ 2 , 0 ]", "[-1]", "(1.5)", "(0, 1)", "()", "=", "1", "-2.5e3",
           "nan", "x1", "x2^2", "*", "atom", "nu", "sigma", "b", "a0", "banana", "[[1]]",
           "[[1, 0], [0, 1]]", "[[1],[2]]", "#", ",", "(", ")", "[", "]", "\n"]
@@ -228,3 +251,284 @@ def test_constant_algebra_matches_matrix_route(pair, t):
     assert max_rel_gap(matrix_rep(invert(T, d), d).entries, np.linalg.inv(M)) <= 1e-10
     assert max_rel_gap(matrix_rep(compose(T, S, d), d).entries, M @ MS) <= 1e-10
     assert max_rel_gap(expm(matrix_rep(log_op(T, d), d).entries), M) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# batched point-cloud kernel against a per-point reference
+# ---------------------------------------------------------------------------
+
+def ref_eval(p, y):
+    """Poly.eval as a plain loop: terms in graded order, powers by Python's float power."""
+    total = 0.0
+    for alpha, c in p.sorted_terms():
+        m = c
+        for yi, ai in zip(y, alpha):
+            if ai:
+                m *= yi ** ai
+        total += m
+    return total
+
+
+def ref_sequence(T, y, order):
+    return {a: mi_factorial(a) * ref_eval(T.coefficient(a), y) for a in iter_multiindices(T.n, order)}
+
+
+def ref_moment_matrix(s, n, d, weight=None):
+    """Entry (beta, gamma) is s_{beta+gamma}, or sum_kappa c * s_{beta+gamma+kappa}."""
+    basis = list(iter_multiindices(n, d))
+    M = np.zeros((len(basis), len(basis)))
+    for i, b in enumerate(basis):
+        for j, g in enumerate(basis):
+            base = tuple(x + y for x, y in zip(b, g))
+            if weight is None:
+                M[i, j] = s[base]
+            else:
+                M[i, j] = sum(c * s[tuple(x + k for x, k in zip(base, kappa))]
+                              for kappa, c in weight)
+    return M
+
+
+def ref_psd(M, tol=1e-10):
+    """(PSD?, smallest eigenvalue) from one eigvalsh of this matrix alone."""
+    lam = float(np.linalg.eigvalsh(M)[0])
+    return lam >= -tol * max(1.0, float(np.max(np.abs(M)))), lam
+
+
+def ref_contains(K, x):
+    """Point membership as a scalar rule per point."""
+    if K.variant == "full":
+        return True
+    if K.variant == "box":
+        return all(lo <= xi <= hi for xi, (lo, hi) in zip(x, K.data))
+    if K.variant == "ball":
+        center, radius = K.data
+        return math.dist(x, center) <= radius + 1e-12
+    if K.variant == "cone":
+        from scipy.optimize import nnls
+        resid = nnls(np.array(K.data, dtype=float).T, np.asarray(x, dtype=float))[1]
+        return resid <= 1e-9 * max(1.0, float(np.linalg.norm(x)))
+    if K.variant == "striphalf":
+        return not x[-1] < 0 and all(lo <= xi <= hi for xi, (lo, hi) in zip(x[:-1], K.data))
+    if K.variant == "lattice":
+        return math.dist(x, [round(xi) for xi in x]) <= K.data[0] + 1e-12
+    return all(abs(xi - round(xi)) <= 1e-12 for xi in x)
+
+
+def real(rnd, lo, hi):
+    """A float in [lo, hi], with an arbitrary mantissa four times in five."""
+    if rnd.random() < 0.8:
+        return rnd.uniform(lo, hi)
+    return rnd.choice([x for x in (lo, hi, 0.0, 1.0, -1.0, 0.5) if lo <= x <= hi])
+
+
+@st.composite
+def clouds(draw, n, min_size=1, max_size=12):
+    rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    size = draw(st.integers(min_size, max_size))
+    return [tuple(real(rnd, -3.0, 3.0) for _ in range(n)) for _ in range(size)]
+
+
+def small_polys(n, degree=3):
+    terms = st.dictionaries(st.tuples(*[st.integers(0, degree)] * n),
+                            st.floats(-2.0, 2.0).filter(lambda c: c != 0.0), max_size=3)
+    return terms.map(lambda t: Poly(n, t))
+
+
+@st.composite
+def cloud_operators(draw, n, order):
+    """A random coefficient table up to the order, or the shift mixture of a measure."""
+    if draw(st.booleans()):
+        atoms = draw(st.lists(st.tuples(st.tuples(*[st.floats(-1.0, 1.0)] * n),
+                                        st.floats(0.1, 1.0)), min_size=1, max_size=3))
+        return dop_from_seq(from_measure(DiscreteMeasure(atoms), order))
+    indices = st.sampled_from(list(iter_multiindices(n, order)))
+    return DiffOp(n, draw(st.dictionaries(indices, small_polys(n), max_size=6)),
+                  allow_degree_excess=True)
+
+
+@st.composite
+def rn_cases(draw):
+    n, d = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    return draw(cloud_operators(n, 2 * d)), d, draw(clouds(n))
+
+
+@SETTINGS
+@given(rn_cases())
+def test_cloud_moment_check_matches_per_point_reference(case):
+    T, d, ys = case
+    want = [(tuple(y), lam) for y in ys
+            for ok, lam in [ref_psd(ref_moment_matrix(ref_sequence(T, y, 2 * d), T.n, d))]
+            if not ok]
+    v = check_preserver_rn(T, d, ys)
+    assert [(w.y, w.min_eigenvalue) for w in v.witnesses] == want
+    assert v.status == (FAIL if want else PASS if T.certificate else INCONCLUSIVE)
+    assert v.checked.startswith(f"moment matrices of order {d} at {len(ys)} points")
+    for y in ys[:2]:
+        assert coefficient_sequence(T, y, 2 * d).values == ref_sequence(T, y, 2 * d)
+    polys = [q for _, q in T.sorted_coeffs()]
+    assert np.array_equal(evaluate(polys, ys), np.array([[ref_eval(q, y) for y in ys]
+                                                         for q in polys]).reshape(len(polys), len(ys)))
+
+
+@SETTINGS
+@given(st.integers(0, 3).flatmap(lambda d: st.tuples(
+    cloud_operators(1, 2 * d + 1), st.just(d),
+    clouds(1))))
+def test_cloud_halfline_check_matches_per_point_reference(case):
+    T, d, cloud = case
+    ys = [abs(y) for (y,) in cloud]
+    want = []
+    for y in ys:
+        s = ref_sequence(T, (y,), 2 * d + 1)
+        ok, lam = ref_psd(ref_moment_matrix(s, 1, d))
+        okl, laml = ref_psd(ref_moment_matrix(s, 1, d, (Poly.variable(1, 0) + y).sorted_terms()))
+        want += [((y,), lam, "moment-matrix")] * (not ok) + [((y,), laml, "localized")] * (not okl)
+    v = check_preserver_halfline(T, d, [(y,) for y in ys])
+    assert [(w.y, w.min_eigenvalue, w.kind) for w in v.witnesses] == want
+    assert (v.status == FAIL) if want else (v.status in (PASS, INCONCLUSIVE))
+    assert f"order {d} at {len(ys)} points" in v.checked
+
+
+@SETTINGS
+@given(st.integers(1, 2).flatmap(lambda n: st.tuples(
+    cloud_operators(n, 2), clouds(n, max_size=3),
+    st.lists(st.sampled_from([1e-3, 0.1, 1.0]), min_size=1, max_size=2))))
+def test_cloud_generator_check_matches_per_point_reference(case):
+    A, ys, ts = case
+    want = []
+    for y in ys:
+        for t in ts:
+            T = exp_op(A.freeze_at(y), t, 2)
+            ok, lam = ref_psd(ref_moment_matrix(ref_sequence(T, (0.0,) * A.n, 2), A.n, 1))
+            if not ok:
+                want.append((tuple(y), lam, f"exp(t*A_y) at t={t:g}"))
+    v = check_generator_rn(A, 1, ys, ts)
+    assert [(w.y, w.min_eigenvalue, w.kind) for w in v.witnesses] == want
+    assert v.checked.startswith(f"{len(ys) * len(ts)} frozen (y, t) cells")
+
+
+@st.composite
+def second_order_generators(draw):
+    n = draw(st.integers(2, 3))
+    coeffs = {a: draw(small_polys(n, degree=1)) * draw(st.floats(-1.0, 1.0))
+              for a in iter_multiindices(n, 2) if sum(a) == 2}
+    return DiffOp(n, coeffs, allow_degree_excess=True), draw(clouds(n))
+
+
+@SETTINGS
+@given(second_order_generators())
+def test_cloud_second_order_scan_matches_per_point_reference(case):
+    A, ys = case
+    want = []
+    for y in ys:
+        M = np.array([[(2.0 if i == j else 1.0) * ref_eval(A.coefficient(
+            tuple((k == i) + (k == j) for k in range(A.n))), y) for j in range(A.n)]
+            for i in range(A.n)])
+        lam = float(np.linalg.eigvalsh(M)[0])
+        if lam < -1e-10 * max(1.0, float(np.max(np.abs(M)))):
+            want.append((tuple(y), lam))
+    v = check_finite_order_generator(A, ys)
+    if v.checked.startswith("coefficient"):  # a coefficient of degree > 2 refutes first
+        return
+    assert [(w.y, w.min_eigenvalue) for w in v.witnesses] == want
+    assert v.checked == f"second-order matrices at {len(ys)} points"
+
+
+def unit(v):
+    norm = math.sqrt(sum(x * x for x in v))
+    return tuple(x / norm for x in v)
+
+
+KINDS = ["full", "box", "ball", "cone", "striphalf", "lattice", "lattice-points"]
+
+
+@st.composite
+def regions(draw, kind):
+    """A K of the variant, with points on or at the tolerance of its boundary."""
+    n = draw(st.integers(2 if kind == "cone" else 1, 3))
+    rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def point():
+        while True:
+            v = tuple(real(rnd, -2.0, 2.0) for _ in range(n))
+            if any(v):
+                return v
+
+    def bounds(count):
+        return [sorted((real(rnd, -2.0, 2.0), real(rnd, -2.0, 2.0))) for _ in range(count)]
+
+    directions = [unit(point()) for _ in range(3)]
+    if kind == "full":
+        return KDescriptor.full(n), []
+    if kind == "box":
+        box = bounds(n)
+        return KDescriptor.box(box), [tuple(b[i % 2] for b in box) for i in range(2)]
+    if kind == "ball":
+        center, radius = point(), real(rnd, 0.0, 2.0)
+        edge = [tuple(c + r * x for c, x in zip(center, u)) for u in directions
+                for r in (radius, radius + 1e-12, radius + 2e-12)]
+        return KDescriptor.ball(center, radius), edge
+    if kind == "cone":
+        rays = [point() for _ in range(draw(st.integers(1, n + 1)))]
+        on = []
+        for _ in range(4):
+            weights = [rnd.choice([0.0, real(rnd, 0.0, 3.0)]) for _ in rays]
+            on.append(tuple(sum(w * r[i] for w, r in zip(weights, rays)) for i in range(n)))
+        ts = [real(rnd, 0.0, 3.0) for _ in range(3)]
+        on += [tuple(t * x for x in ray) for ray in rays for t in ts]
+        # just off a face, beyond or within the tolerance: a ray minus a little of another
+        off = [tuple(t * x - eps * y for x, y in zip(a, b))
+               for a in rays for b in rays if a is not b for t in ts for eps in (1e-6, 1e-11)]
+        return KDescriptor.cone(rays), on + off
+    if kind == "striphalf":
+        strip = bounds(n - 1)
+        return KDescriptor.compact_times_halfline(strip), [tuple(b[0] for b in strip) + (0.0,)]
+    if kind == "lattice":
+        radius = real(rnd, 0.0, 0.5)
+        edge = [tuple(rnd.randint(-3, 3) + r * x for x in u)
+                for u in directions for r in (radius, radius + 1e-12, radius + 2e-12)]
+        return KDescriptor.lattice_balls(n, radius), edge
+    return KDescriptor("lattice-points", n), [(1.0,) * n, (0.5,) * n]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@SETTINGS
+@given(data=st.data())
+def test_cloud_membership_matches_scalar_rule(kind, data):
+    K, special = data.draw(regions(kind))
+    cloud = data.draw(clouds(K.n, min_size=0))
+    pts = special + cloud
+    want = [ref_contains(K, x) for x in pts]
+    assert K.members(pts).tolist() == want
+    assert [K.contains(x) for x in pts] == want
+
+
+@SETTINGS
+@given(st.integers(1, 2).flatmap(lambda n: st.tuples(
+    cloud_operators(n, 4),
+    st.lists(small_polys(n, degree=1).map(lambda p: p * p), min_size=1, max_size=3),
+    clouds(n, max_size=20))))
+def test_cloud_grid_witnesses_are_worst_points(case):
+    T, trials, grid = case
+    v = falsify_on_grid(T, KDescriptor.full(T.n), trials, grid)
+    assert v.checked == f"{len(trials)} trials x grid ({len(trials) * len(grid)} evaluations)"
+    want = []
+    for p in trials:
+        q = apply(T, p)
+        vals = [ref_eval(q, x) for x in grid]
+        floor = -1e-12 * max(1.0, q.max_abs_coeff())
+        if min(vals) < floor:
+            k = vals.index(min(vals))
+            want.append((str(p), tuple(grid[k]), vals[k]))
+    assert [(str(w.trial), w.point, w.value) for w in v.witnesses] == want
+    for w in v.witnesses:
+        assert w.value == apply(T, w.trial).eval(w.point)
+
+
+@SETTINGS
+@given(st.lists(st.floats(0.0, 0.5), min_size=1, max_size=20))
+def test_cloud_sigma_curve_matches_per_time_reference(ts):
+    h2, sigma3 = sigma_curve(ts)
+    s = [{(k,): math.exp(t * k ** 3) for k in range(5)} for t in ts]
+    assert h2 == [h2_closed(t) for t in ts]
+    assert sigma3 == [ref_psd(ref_moment_matrix(x, 1, 2))[1] for x in s]
