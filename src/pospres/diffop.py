@@ -138,10 +138,6 @@ class DiffOp:
         return 0.0 if q is None else q.constant_value()
 
     @property
-    def is_invertible(self) -> bool:
-        return self.q0 != 0.0
-
-    @property
     def order(self) -> int:
         """Largest |alpha| with a nonzero stored coefficient (-1 for the zero operator)."""
         return max((mi_degree(a) for a in self.coeffs), default=-1)

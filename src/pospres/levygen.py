@@ -45,14 +45,12 @@ from .momseq import (
     psd_stack,
 )
 from .preserver import (
-    FAIL,
-    INCONCLUSIVE,
-    PASS,
     PreserverVerdict,
     Witness,
     coefficient_sequences,
     global_min_univariate,
-    worst_points,
+    grid_witnesses,
+    require_nonempty,
 )
 
 
@@ -132,12 +130,6 @@ class LevyField:
     @property
     def n(self) -> int:
         return len(self.sigma_polys)
-
-    def sigma_at(self, y) -> np.ndarray:
-        return np.array([[q.eval(y) for q in row] for row in self.sigma_polys])
-
-    def b_at(self, y) -> np.ndarray:
-        return np.array([q.eval(y) for q in self.b_polys])
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +231,7 @@ def check_generator_rn(A: DiffOp, d: int, ys, ts, tol: float = 1e-10) -> Preserv
 
     A refuted exp(t A_y) soundly refutes A as a generator; all-pass remains
     inconclusive (finitely many y, t and one matrix order were sampled).
+    No point or no time leaves no cell and raises ValueError.
     """
     if any(t <= 0 for t in ts):
         raise ValueError("sample times must be positive")
@@ -254,10 +247,8 @@ def check_generator_rn(A: DiffOp, d: int, ys, ts, tol: float = 1e-10) -> Preserv
         witnesses += [Witness(y=block[k][0], d=d, min_eigenvalue=float(lam[k]),
                               kind=f"exp(t*A_y) at t={block[k][1]:g}")
                       for k in np.flatnonzero(~ok)]
-    checked = f"{len(cells)} frozen (y, t) cells, moment order {d}"
-    if witnesses:
-        return PreserverVerdict(FAIL, tuple(witnesses), checked)
-    return PreserverVerdict(INCONCLUSIVE, (), checked)
+    return PreserverVerdict.decide(
+        witnesses, f"{len(cells)} frozen (y, t) cells, moment order {d}", len(cells))
 
 
 def check_finite_order_generator(A: DiffOp, ys, tol: float = 1e-10) -> PreserverVerdict:
@@ -267,32 +258,25 @@ def check_finite_order_generator(A: DiffOp, ys, tol: float = 1e-10) -> Preserver
     immediately, and the matrix of second-order coefficients must be
     positive semidefinite pointwise.  For n = 1 the scalar second-order
     coefficient is checked exactly by global minimisation, otherwise it is
-    sampled at the given points.
+    sampled at the given points; then an empty point list raises ValueError.
     """
-    witnesses = []
     zero = (0,) * A.n
-    for alpha, q in A.sorted_coeffs():
+    for scanned, (alpha, q) in enumerate(A.sorted_coeffs(), 1):
         if mi_degree(alpha) >= 3 and not q.is_zero():
-            witnesses.append(Witness(kind=f"order-{mi_degree(alpha)} coefficient {alpha}",
-                                     min_eigenvalue=-math.inf))
-            return PreserverVerdict(FAIL, tuple(witnesses),
-                                    "coefficient order scan")
+            w = Witness(kind=f"order-{mi_degree(alpha)} coefficient {alpha}",
+                        min_eigenvalue=-math.inf)
+            return PreserverVerdict.decide([w], "coefficient order scan", scanned)
         if alpha != zero and q.degree > mi_degree(alpha):
             # drift entries must be affine and diffusion entries quadratic
-            witnesses.append(Witness(kind=f"degree of coefficient {alpha}",
-                                     min_eigenvalue=-math.inf))
-            return PreserverVerdict(FAIL, tuple(witnesses),
-                                    "coefficient degree scan")
+            w = Witness(kind=f"degree of coefficient {alpha}", min_eigenvalue=-math.inf)
+            return PreserverVerdict.decide([w], "coefficient degree scan", scanned)
     if A.n == 1:
-        q2 = A.coefficient((2,)) * 2.0
-        mn, arg = global_min_univariate(q2)
+        mn, arg = global_min_univariate(A.coefficient((2,)) * 2.0)
         if mn < -tol:
-            witnesses.append(Witness(y=(arg,), d=1, min_eigenvalue=mn,
-                                     kind="second-order coefficient"))
-            return PreserverVerdict(FAIL, tuple(witnesses),
-                                    "exact pointwise second-order scan")
-        return PreserverVerdict(INCONCLUSIVE, (),
-                                f"order <= 2 and min 2*q_2 = {mn:.3g} >= 0")
+            w = Witness(y=(arg,), d=1, min_eigenvalue=mn, kind="second-order coefficient")
+            return PreserverVerdict.decide([w], "exact pointwise second-order scan", 1)
+        return PreserverVerdict.decide([], f"order <= 2 and min 2*q_2 = {mn:.3g} >= 0", 1)
+    witnesses = []
     pts = [tuple(y) for y in ys]
     pairs = [(i, j) for i in range(A.n) for j in range(A.n)]
     second = [A.coefficient(tuple((k == i) + (k == j) for k in range(A.n))) for i, j in pairs]
@@ -303,26 +287,8 @@ def check_finite_order_generator(A: DiffOp, ys, tol: float = 1e-10) -> Preserver
         ok, lam = psd_stack(M, tol)
         witnesses += [Witness(y=block[k], d=1, min_eigenvalue=float(lam[k]),
                               kind="second-order matrix") for k in np.flatnonzero(~ok)]
-    checked = f"second-order matrices at {len(pts)} points"
-    if witnesses:
-        return PreserverVerdict(FAIL, tuple(witnesses), checked)
-    return PreserverVerdict(INCONCLUSIVE, (), checked)
-
-
-def _require_nonempty(lambdas, trials, grid) -> None:
-    """A falsifier over an empty lambda, trial or grid list would check nothing."""
-    for name, items in (("lambda", lambdas), ("trial", trials), ("grid", grid)):
-        if len(items) == 0:
-            raise ValueError(f"empty {name} list: the check would evaluate nothing")
-
-
-def _grid_witnesses(cells, grid, tol: float, kind: str) -> tuple:
-    """One witness per (lambda, trial, image) cell whose image dips below
-    -tol * scale on the grid, at its worst grid point."""
-    pts = list(grid)
-    worst = worst_points([q for _, _, q in cells], pts, tol)
-    return tuple(Witness(kind=f"{kind}={lam:g}", trial=p, point=tuple(pts[w[0]]), value=w[1])
-                 for (lam, p, _), w in zip(cells, worst) if w is not None)
+    return PreserverVerdict.decide(
+        witnesses, f"second-order matrices at {len(pts)} points", len(pts))
 
 
 def resolvent_check(A: DiffOp, d: int, lambdas, trials, grid,
@@ -334,10 +300,10 @@ def resolvent_check(A: DiffOp, d: int, lambdas, trials, grid,
     singular system at some lambda is recorded, not fatal.  Empty lists,
     or a system singular at every lambda, raise ValueError.
     """
-    _require_nonempty(lambdas, trials, grid)
+    require_nonempty(("lambda", lambdas), ("trial", trials), ("grid", grid))
     M = matrix_rep(A, d)
     dim = M.basis.dim
-    cells = []  # (lambda, trial, image)
+    cells = []  # (witness kind, trial, image)
     singular = []
     for lam in lambdas:
         S = np.eye(dim) - float(lam) * M.entries
@@ -349,16 +315,15 @@ def resolvent_check(A: DiffOp, d: int, lambdas, trials, grid,
         for p in trials:
             if p.degree > d:
                 raise TruncationError("trial degree exceeds the restriction")
-            cells.append((lam, p, M.basis.vec_to_poly(S_inv @ M.basis.poly_to_vec(p))))
+            cells.append((f"resolvent lambda={lam:g}", p,
+                          M.basis.vec_to_poly(S_inv @ M.basis.poly_to_vec(p))))
     if len(singular) == len(lambdas):
         raise ValueError(f"singular at every lambda in {singular}: nothing was evaluated")
-    witnesses = _grid_witnesses(cells, grid, tol, "resolvent lambda")
     checked = f"{len(list(lambdas))} resolvent values, degree {d}"
     if singular:
         checked += f"; singular at lambda in {singular}"
-    if witnesses:
-        return PreserverVerdict(FAIL, witnesses, checked)
-    return PreserverVerdict(INCONCLUSIVE, (), checked)
+    return PreserverVerdict.decide(grid_witnesses(cells, grid, tol), checked,
+                                   len(cells) * len(grid))
 
 
 def one_plus_check(A: DiffOp, d: int, lambdas, trials, grid,
@@ -370,18 +335,17 @@ def one_plus_check(A: DiffOp, d: int, lambdas, trials, grid,
     lambda range in the summary.  Empty lists raise ValueError.
     """
     lams = [float(l) for l in lambdas]
-    _require_nonempty(lams, trials, grid)
+    require_nonempty(("lambda", lams), ("trial", trials), ("grid", grid))
     cells = []
     for lam in lams:
         for p in trials:
             if p.degree > d:
                 raise TruncationError("trial degree exceeds the restriction")
-            cells.append((lam, p, p + lam * apply(A, p)))
-    witnesses = _grid_witnesses(cells, grid, tol, "1+lambda*A at lambda")
-    checked = f"(1 + lambda A) p scan, lambda in [{min(lams):g}, {max(lams):g}]"
-    if witnesses:
-        return PreserverVerdict(FAIL, witnesses, checked)
-    return PreserverVerdict(INCONCLUSIVE, (), checked)
+            cells.append((f"1+lambda*A at lambda={lam:g}", p, p + lam * apply(A, p)))
+    return PreserverVerdict.decide(
+        grid_witnesses(cells, grid, tol),
+        f"(1 + lambda A) p scan, lambda in [{min(lams):g}, {max(lams):g}]",
+        len(cells) * len(grid))
 
 
 def check_generator_field_sufficient(F: LevyField, ys, D: int,
@@ -392,7 +356,8 @@ def check_generator_field_sufficient(F: LevyField, ys, D: int,
     admissible (Sigma(y) PSD, positive jump weights).  If all sampled
     points pass, the polynomial-coefficient operator assembled from the
     field is returned together with a pass-by-sampling verdict; any
-    inadmissible point refutes.  Returns (verdict, operator-or-None).
+    inadmissible point refutes; an empty point list raises ValueError.
+    Returns (verdict, operator-or-None).
     """
     witnesses = []
     pts = [tuple(y) for y in ys]
@@ -409,9 +374,11 @@ def check_generator_field_sufficient(F: LevyField, ys, D: int,
                 if nu_y is not None and any(w <= 0 for _, w in nu_y.atoms):
                     witnesses.append(Witness(y=y, kind="nu(y) weights",
                                              min_eigenvalue=-math.inf))
-    if witnesses:
-        return PreserverVerdict(FAIL, tuple(witnesses),
-                                f"triple admissibility at {len(pts)} points"), None
+    verdict = PreserverVerdict.decide(
+        witnesses, f"triple admissibility at {len(pts)} points", len(pts),
+        certified=f"triple admissible at all {len(pts)} sampled points (sampling only)")
+    if verdict.failed:
+        return verdict, None
     n = F.n
     coeffs: dict = {}
     zero = (0,) * n
@@ -433,10 +400,7 @@ def check_generator_field_sufficient(F: LevyField, ys, D: int,
     for alpha, q in extra.items():
         if mi_degree(alpha) >= 3 and not q.is_zero():
             coeffs[tuple(alpha)] = q * (1.0 / mi_factorial(alpha))
-    A = DiffOp(n, coeffs, max_order=D)
-    verdict = PreserverVerdict(
-        PASS, (), f"triple admissible at all {len(pts)} sampled points (sampling only)")
-    return verdict, A
+    return verdict, DiffOp(n, coeffs, max_order=D)
 
 
 # ---------------------------------------------------------------------------

@@ -75,9 +75,6 @@ class DiscreteMeasure:
     def dirac(cls, point) -> "DiscreteMeasure":
         return cls([(tuple(point), 1.0)])
 
-    def total_mass(self) -> float:
-        return sum(w for _, w in self.atoms)
-
     def moment(self, alpha: MultiIndex) -> float:
         total = 0.0
         for point, w in self.atoms:
@@ -293,15 +290,16 @@ def psd_stack(A: np.ndarray, tol: float = 1e-10):
     """(PSD?, smallest eigenvalue) for each matrix of the stack A, as two arrays.
 
     One stacked eigvalsh; matrix k passes when its smallest eigenvalue is at
-    least -tol * max(1, max |A_k|).  A non-symmetric matrix raises ValueError.
+    least -tol * max |A_k|, a purely relative tolerance, so a verdict does not
+    change when the matrix is scaled by c > 0 (the zero matrix passes, as
+    0 >= -0).  A non-symmetric matrix raises ValueError.
     """
     if A.shape[-1] == 0:
         return np.ones(len(A), dtype=bool), np.zeros(len(A))
     if not np.array_equal(A, A.swapaxes(-1, -2)):
         raise ValueError("moment matrix must be symmetric")
     lam = np.linalg.eigvalsh(A)[:, 0]
-    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
-    return lam >= -tol * scale, lam
+    return lam >= -tol * np.abs(A).max(axis=(-2, -1)), lam
 
 
 def moment_matrix(s: MomentSeq, d: int, w: Poly | None = None) -> MomentMatrix:

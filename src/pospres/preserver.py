@@ -16,6 +16,9 @@ three-valued:
 * ``inconclusive`` -- every sampled test passed but no certificate is
   attached; the necessary conditions hold at this truncation.
 
+Every check returns through ``PreserverVerdict.decide``, and a check that
+would evaluate nothing raises ValueError instead of answering.
+
 Every check takes its sample points as one cloud, CLOUD_BLOCK points at a
 time: the coefficient sequences of all points, their moment matrices and
 one stacked eigenvalue call, each result bit-identical to that of its point
@@ -306,13 +309,31 @@ class Witness:
 
 @dataclass(frozen=True)
 class PreserverVerdict:
+    """A check's answer.  ``evaluated`` counts the matrices, cells or grid
+    values the check examined; a pass or inconclusive verdict that examined
+    nothing would say nothing, so it cannot be built."""
     status: str
     witnesses: tuple = ()
     checked: str = ""
+    evaluated: int = 0
 
     def __post_init__(self):
         if self.status == FAIL and not self.witnesses:
             raise ValueError("a fail verdict must carry at least one witness")
+        if self.status in (PASS, INCONCLUSIVE) and self.evaluated < 1:
+            raise ValueError(f"a {self.status} verdict must have evaluated something")
+
+    @classmethod
+    def decide(cls, witnesses, checked: str, evaluated: int,
+               certified: str | None = None) -> "PreserverVerdict":
+        """The one status rule: fail when there are witnesses; otherwise pass
+        when a certificate holds (``certified`` is then the checked text that
+        names it), and inconclusive when none does."""
+        if witnesses:
+            return cls(FAIL, tuple(witnesses), checked, evaluated)
+        if certified is not None:
+            return cls(PASS, (), certified, evaluated)
+        return cls(INCONCLUSIVE, (), checked, evaluated)
 
     @property
     def failed(self) -> bool:
@@ -431,15 +452,24 @@ def coefficient_sequence(T: DiffOp, y, order: int) -> MomentSeq:
     return MomentSeq(T.n, order, dict(zip(graded_basis(T.n, order).indices, S[0].tolist())))
 
 
+def require_nonempty(*named_lists) -> None:
+    """Raise ValueError for the first empty (name, list) pair: a check over
+    it would evaluate nothing."""
+    for name, items in named_lists:
+        if len(items) == 0:
+            raise ValueError(f"empty {name} list: the check would evaluate nothing")
+
+
 def worst_points(polys, points, tol: float) -> list:
     """For each polynomial, (point index, value) at its worst point of the cloud, or None.
 
     A polynomial has a worst point when some value lies below -tol * scale,
-    scale = max(1, its largest coefficient magnitude); it is the first point
-    of least value.  Values are those of ``Poly.eval``.
+    scale = its largest coefficient magnitude, a purely relative tolerance
+    (the zero polynomial never has one); it is the first point of least
+    value.  Values are those of ``Poly.eval``.
     """
     out = [None] * len(polys)
-    floor = -tol * np.array([max(1.0, q.max_abs_coeff()) for q in polys])
+    floor = -tol * np.array([q.max_abs_coeff() for q in polys])
     for lo in range(0, len(points), CLOUD_BLOCK):
         vals = evaluate(polys, points[lo:lo + CLOUD_BLOCK])
         bad = vals < floor[:, None]
@@ -449,6 +479,15 @@ def worst_points(polys, points, tol: float) -> list:
             if out[j] is None or vals[j, k] < out[j][1]:
                 out[j] = (lo + k, float(vals[j, k]))
     return out
+
+
+def grid_witnesses(cells, points, tol: float) -> tuple:
+    """One grid witness per (kind, trial, image) cell whose image dips below
+    -tol * scale on the points (``worst_points``), at its worst point."""
+    points = list(points)
+    worst = worst_points([image for _, _, image in cells], points, tol)
+    return tuple(Witness(kind=kind, trial=p, point=tuple(points[w[0]]), value=w[1])
+                 for (kind, p, _), w in zip(cells, worst) if w is not None)
 
 
 def _certificate_supported_in(T: DiffOp, K_sharp: KDescriptor | None) -> bool:
@@ -483,8 +522,7 @@ def check_preserver_rn(T: DiffOp, d: int, ys, tol: float = 1e-10) -> PreserverVe
     empty point list raises ValueError.
     """
     pts = [tuple(y) for y in ys]
-    if not pts:
-        raise ValueError("empty point list: the check would evaluate nothing")
+    require_nonempty(("point", pts))
     witnesses = []
     for lo in range(0, len(pts), CLOUD_BLOCK):
         S = coefficient_sequences(T, pts[lo:lo + CLOUD_BLOCK], 2 * d)
@@ -492,11 +530,9 @@ def check_preserver_rn(T: DiffOp, d: int, ys, tol: float = 1e-10) -> PreserverVe
         witnesses += [Witness(y=pts[lo + k], d=d, min_eigenvalue=float(lam[k]))
                       for k in np.flatnonzero(~ok)]
     checked = f"moment matrices of order {d} at {len(pts)} points"
-    if witnesses:
-        return PreserverVerdict(FAIL, tuple(witnesses), checked)
-    if _certificate_supported_in(T, None):
-        return PreserverVerdict(PASS, (), checked + "; constructive certificate")
-    return PreserverVerdict(INCONCLUSIVE, (), checked)
+    certified = _certificate_supported_in(T, None)
+    return PreserverVerdict.decide(witnesses, checked, len(pts),
+                                   checked + "; constructive certificate" if certified else None)
 
 
 def check_preserver_halfline(T: DiffOp, d: int, ys, tol: float = 1e-10) -> PreserverVerdict:
@@ -515,8 +551,7 @@ def check_preserver_halfline(T: DiffOp, d: int, ys, tol: float = 1e-10) -> Prese
         if y0 < 0:
             raise ValueError("sample points must lie in [0, inf)")
         pts.append((y0,))
-    if not pts:
-        raise ValueError("empty point list: the check would evaluate nothing")
+    require_nonempty(("point", pts))
     witnesses = []
     for lo in range(0, len(pts), CLOUD_BLOCK):
         block = pts[lo:lo + CLOUD_BLOCK]
@@ -532,12 +567,9 @@ def check_preserver_halfline(T: DiffOp, d: int, ys, tol: float = 1e-10) -> Prese
                 witnesses.append(Witness(y=block[k], d=d, min_eigenvalue=float(laml[k]),
                                          kind="localized"))
     checked = f"moment + localized matrices of order {d} at {len(pts)} points"
-    if witnesses:
-        return PreserverVerdict(FAIL, tuple(witnesses), checked)
-    halfline = KDescriptor.cone([(1.0,)])
-    if _certificate_supported_in(T, halfline):
-        return PreserverVerdict(PASS, (), checked + "; constructive certificate")
-    return PreserverVerdict(INCONCLUSIVE, (), checked)
+    certified = _certificate_supported_in(T, KDescriptor.cone([(1.0,)]))
+    return PreserverVerdict.decide(witnesses, checked, 2 * len(pts),
+                                   checked + "; constructive certificate" if certified else None)
 
 
 def global_min_univariate(p: Poly):
@@ -604,20 +636,18 @@ def falsify_on_grid(T: DiffOp, K: KDescriptor, trials, grid,
     """Pure falsifier: apply T to trial polynomials and scan a grid over K.
 
     The caller guarantees the trials are nonnegative on K.  Any image value
-    below -tol * scale (scale = max(1, the image's largest coefficient
-    magnitude)) is a concrete witness; a failing trial gives one witness, at
-    its worst grid point.  This check can only refute, so the all-pass
-    verdict is inconclusive by construction.
+    below -tol * scale (scale = the image's largest coefficient magnitude, a
+    purely relative tolerance) is a concrete witness; a failing trial gives
+    one witness, at its worst grid point.  This check can only refute, so
+    the all-pass verdict is inconclusive by construction.  No trial, or no
+    grid point in K, leaves nothing to evaluate and raises ValueError.
     """
     X = as_cloud(grid, K.n)
     pts = [tuple(x) for x in X[K.members(X)].tolist()]
-    worst = worst_points([apply(T, p) for p in trials], pts, tol)
-    witnesses = tuple(Witness(kind="grid", trial=p, point=pts[w[0]], value=w[1])
-                      for p, w in zip(trials, worst) if w is not None)
-    checked = f"{len(trials)} trials x grid ({len(trials) * len(pts)} evaluations)"
-    if witnesses:
-        return PreserverVerdict(FAIL, witnesses, checked)
-    return PreserverVerdict(INCONCLUSIVE, (), checked)
+    witnesses = grid_witnesses([("grid", p, apply(T, p)) for p in trials], pts, tol)
+    evaluated = len(trials) * len(pts)
+    return PreserverVerdict.decide(
+        witnesses, f"{len(trials)} trials x grid ({evaluated} evaluations)", evaluated)
 
 
 def compact_rigidity_check(T: DiffOp, d: int | None = None) -> bool:

@@ -267,6 +267,23 @@ def test_falsifier_rejects_empty_lists(check, empty):
         check(DiffOp(1, {(2,): 1.0}), 4, **lists)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: falsify_on_grid(DiffOp.identity(1), KDescriptor.full(1), [], GRID),
+    lambda: falsify_on_grid(DiffOp.identity(1), KDescriptor.box([(0.0, 1.0)]), [X * X],
+                            [(5.0,)]),
+    lambda: check_generator_rn(DiffOp(1, {(2,): 1.0}), 2, [], [0.1]),
+    lambda: check_generator_rn(DiffOp(1, {(2,): 1.0}), 2, [(0.0,)], []),
+    lambda: check_finite_order_generator(DiffOp(2, {(2, 0): 1.0, (0, 2): 1.0}), []),
+    lambda: check_generator_field_sufficient(
+        LevyField(0.0, ((Poly.constant(1, 1.0),),), (Poly.zero(1),)), [], 4),
+], ids=["no-trial", "no-grid-point-in-K", "no-point", "no-time", "no-point-n2",
+        "field-no-point"])
+def test_checks_that_would_evaluate_nothing_raise(call):
+    # an inconclusive or pass verdict over nothing would claim a check that never ran
+    with pytest.raises(ValueError, match="evaluated something"):
+        call()
+
+
 def test_resolvent_singular_at_every_lambda_is_an_error():
     # 1 - 0.25 * (x d) kills x^4, so no trial is evaluated at all
     with pytest.raises(ValueError, match="singular at every lambda"):

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from pospres.polyalg import DimensionMismatchError, Poly
+from pospres.polyalg import DimensionMismatchError, Poly, evaluate
 from pospres.diffop import DiffOp, apply, exp_op
 from pospres.momseq import DiscreteMeasure, dop_from_seq, from_measure
 from pospres.preserver import (
@@ -14,6 +14,8 @@ from pospres.preserver import (
     LATTICE_POINTS,
     PASS,
     KDescriptor,
+    PreserverVerdict,
+    Witness,
     check_degree2_pointwise,
     check_preserver_halfline,
     check_preserver_rn,
@@ -89,6 +91,28 @@ def test_kdescriptor_text_round_trip():
         K = parse_kdescriptor(text, n=2)
         assert parse_kdescriptor(format_kdescriptor(K), n=K.n) == K
     assert parse_kdescriptor("full", n=3).variant == "full"
+
+
+# ---------------------------------------------------------------------------
+# verdicts
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("status", [PASS, INCONCLUSIVE])
+def test_verdict_that_evaluated_nothing_is_refused(status):
+    with pytest.raises(ValueError, match="evaluated something"):
+        PreserverVerdict(status, (), "0 points", evaluated=0)
+    assert PreserverVerdict(status, (), "1 point", evaluated=1).status == status
+
+
+def test_verdict_rule_fail_then_certificate_then_inconclusive():
+    w = Witness(y=(0.0,), d=1, min_eigenvalue=-1.0)
+    v = PreserverVerdict.decide([w], "scan", 3, certified="scan; certificate")
+    assert (v.status, v.witnesses, v.checked, v.evaluated) == (FAIL, (w,), "scan", 3)
+    v = PreserverVerdict.decide([], "scan", 3, certified="scan; certificate")
+    assert (v.status, v.checked) == (PASS, "scan; certificate")
+    assert PreserverVerdict.decide([], "scan", 3).status == INCONCLUSIVE
+    with pytest.raises(ValueError, match="witness"):
+        PreserverVerdict(FAIL, (), "scan", 3)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +224,7 @@ def test_global_min_matches_grid_oracle():
         p = Poly(1, coeffs)
         v, arg = global_min_univariate(p)
         grid = np.linspace(-20, 20, 40001)
-        vals = [p.eval((g,)) for g in grid]
+        vals = evaluate([p], grid[:, None])[0]
         assert v <= min(vals) + 1e-9
         assert v == pytest.approx(p.eval((arg,)), rel=1e-12, abs=1e-12)
 

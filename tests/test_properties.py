@@ -7,7 +7,8 @@ polynomial text either parse or raise ValueError, never any other exception.
 Constant-coefficient exp, log, invert and compose return constant operators
 and agree with the dense matrix route.  The cloud checks give the verdicts,
 witnesses and bit-identical eigenvalues of a per-point reference written
-here with plain loops.  Every test is derandomized with a bounded example
+here with plain loops.  Moment and grid verdicts do not change when the
+operator is scaled by c > 0.  Every test is derandomized with a bounded example
 count, so the suite stays deterministic.
 """
 
@@ -58,6 +59,7 @@ from pospres.preserver import (
     check_preserver_rn,
     coefficient_sequence,
     falsify_on_grid,
+    square_trials,
 )
 from pospres.eventual import h2_closed, sigma_curve
 
@@ -291,7 +293,7 @@ def ref_moment_matrix(s, n, d, weight=None):
 def ref_psd(M, tol=1e-10):
     """(PSD?, smallest eigenvalue) from one eigvalsh of this matrix alone."""
     lam = float(np.linalg.eigvalsh(M)[0])
-    return lam >= -tol * max(1.0, float(np.max(np.abs(M)))), lam
+    return lam >= -tol * float(np.max(np.abs(M))), lam
 
 
 def ref_contains(K, x):
@@ -370,6 +372,41 @@ def test_cloud_moment_check_matches_per_point_reference(case):
                                                          for q in polys]).reshape(len(polys), len(ys)))
 
 
+scales = st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e)
+
+
+def verdict_shape(v):
+    return v.failed, [(w.y, w.trial, w.point) for w in v.witnesses]
+
+
+@SETTINGS
+@given(rn_cases(), scales)
+def test_moment_verdicts_are_invariant_under_positive_scaling(case, c):
+    # the PSD tolerance is relative, so scaling T scales each matrix and its floor alike
+    T, d, ys = case
+    want = verdict_shape(check_preserver_rn(T, d, ys))
+    for scale in (c, 1e-12, 1e12):
+        assert verdict_shape(check_preserver_rn(T * scale, d, ys)) == want
+
+
+@SETTINGS
+@given(st.integers(1, 2).flatmap(lambda n: st.tuples(cloud_operators(n, 4), clouds(n))),
+       scales)
+def test_grid_verdicts_are_invariant_under_positive_scaling(case, c):
+    T, grid = case
+    trials, K = square_trials(T.n, [0.0, 1.0]), KDescriptor.full(T.n)
+    want = verdict_shape(falsify_on_grid(T, K, trials, grid))
+    for scale in (c, 1e-12, 1e12):
+        assert verdict_shape(falsify_on_grid(T * scale, K, trials, grid)) == want
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-6, 1e-9, 1e-11])
+def test_scaled_down_negative_diffusion_still_fails(c):
+    # s_2 = 2 * (-0.5 c) < 0 at every y; an absolute floor of 1e-10 let c = 1e-11 through
+    T = DiffOp(1, {(0,): c, (2,): -0.5 * c})
+    assert check_preserver_rn(T, 2, [(0.0,)]).status == FAIL
+
+
 @SETTINGS
 @given(st.integers(0, 3).flatmap(lambda d: st.tuples(
     cloud_operators(1, 2 * d + 1), st.just(d),
@@ -425,7 +462,7 @@ def test_cloud_second_order_scan_matches_per_point_reference(case):
             tuple((k == i) + (k == j) for k in range(A.n))), y) for j in range(A.n)]
             for i in range(A.n)])
         lam = float(np.linalg.eigvalsh(M)[0])
-        if lam < -1e-10 * max(1.0, float(np.max(np.abs(M)))):
+        if lam < -1e-10 * float(np.max(np.abs(M))):
             want.append((tuple(y), lam))
     v = check_finite_order_generator(A, ys)
     if v.checked.startswith("coefficient"):  # a coefficient of degree > 2 refutes first
@@ -516,7 +553,7 @@ def test_cloud_grid_witnesses_are_worst_points(case):
     for p in trials:
         q = apply(T, p)
         vals = [ref_eval(q, x) for x in grid]
-        floor = -1e-12 * max(1.0, q.max_abs_coeff())
+        floor = -1e-12 * q.max_abs_coeff()
         if min(vals) < floor:
             k = vals.index(min(vals))
             want.append((str(p), tuple(grid[k]), vals[k]))
