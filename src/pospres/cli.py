@@ -2,7 +2,8 @@
 
 Exit codes: 0 for pass/inconclusive-positive results, 1 for a refutation
 (witnesses printed), 2 for usage or parse errors.  All numeric output uses
-%.17g so that identical inputs produce byte-identical output.
+%.17g so that identical inputs produce byte-identical output.  Each command
+imports the modules it uses, so a cold process loads no more than it runs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import sys
 
 import numpy as np
 
-from . import diffop, eventual, levygen, momseq, preserver
 from .polyalg import format_point, parse_poly
 
 
@@ -33,6 +33,7 @@ def _parse_list(text: str):
 
 
 def _print_verdict(v, out) -> int:
+    from . import preserver
     print(f"status: {v.status.upper()}", file=out)
     if v.checked:
         print(f"checked: {v.checked}", file=out)
@@ -52,6 +53,7 @@ def _load(parse, path, **kw):
 
 
 def _sample_points_from(ys_spec: str | None, n: int):
+    from . import preserver
     if ys_spec is None:
         box = [(-3.0, 3.0)] * n
         return preserver.sample_points(box, per_axis=33)
@@ -60,6 +62,7 @@ def _sample_points_from(ys_spec: str | None, n: int):
 
 
 def _grid_from(grid_spec: str | None, K: preserver.KDescriptor):
+    from . import preserver
     if grid_spec is None:
         return preserver.grid_points(K)
     lo, hi, m = _parse_range(grid_spec)
@@ -81,6 +84,7 @@ def _emit(rows, csv_path, out):
 # ---------------------------------------------------------------------------
 
 def cmd_check_preserver(args, out) -> int:
+    from . import diffop, momseq, preserver
     if (args.op is None) == (args.measure is None):
         raise ValueError("give exactly one of --op or --measure")
     if args.op is not None:
@@ -105,6 +109,7 @@ def cmd_check_preserver(args, out) -> int:
 
 
 def cmd_check_generator(args, out) -> int:
+    from . import diffop, levygen, preserver
     A = _load(diffop.parse_operator, args.op)
     ys = _sample_points_from(args.ys, A.n)
     ts = _parse_list(args.t) if args.t else [1e-3, 1e-2, 1e-1, 1.0]
@@ -116,6 +121,7 @@ def cmd_check_generator(args, out) -> int:
 
 
 def cmd_resolvent(args, out) -> int:
+    from . import diffop, levygen, preserver
     A = _load(diffop.parse_operator, args.op)
     lambdas = _parse_list(args.lam) if args.lam else [1e-3, 1e-2, 1e-1]
     K = preserver.KDescriptor.full(A.n)
@@ -127,24 +133,28 @@ def cmd_resolvent(args, out) -> int:
 
 
 def cmd_exp(args, out) -> int:
+    from . import diffop
     T = diffop.exp_op(_load(diffop.parse_operator, args.op), args.t, args.d)
     out.write(diffop.format_operator(T))
     return 0
 
 
 def cmd_log(args, out) -> int:
+    from . import diffop
     T = diffop.log_op(_load(diffop.parse_operator, args.op), args.d)
     out.write(diffop.format_operator(T))
     return 0
 
 
 def cmd_invert(args, out) -> int:
+    from . import diffop
     T = diffop.invert(_load(diffop.parse_operator, args.op), args.d)
     out.write(diffop.format_operator(T))
     return 0
 
 
 def cmd_compose(args, out) -> int:
+    from . import diffop
     T = _load(diffop.parse_operator, args.op)
     S = _load(diffop.parse_operator, args.op2)
     out.write(diffop.format_operator(diffop.compose(T, S, args.d)))
@@ -152,6 +162,7 @@ def cmd_compose(args, out) -> int:
 
 
 def cmd_seq(args, out) -> int:
+    from . import momseq
     needed = ("a", "b") if args.seq_op in ("conv", "hadamard") else ("seq",)
     missing = [f"--{name}" for name in needed if getattr(args, name) is None]
     if missing:
@@ -177,6 +188,7 @@ def cmd_seq(args, out) -> int:
 
 
 def cmd_tau_sigma(args, out) -> int:
+    from . import eventual
     res = eventual.find_tau_sigma(tol=args.tol)
     print(f"tau bracket: [{_fmt(res.tau_lo)}, {_fmt(res.tau_hi)}]", file=out)
     print(f"iterations: {res.iterations}", file=out)
@@ -187,6 +199,7 @@ def cmd_tau_sigma(args, out) -> int:
 
 
 def cmd_tau_drift(args, out) -> int:
+    from . import eventual
     try:
         res = eventual.find_tau_drift(args.a, tol=args.tol)
     except eventual.NoThresholdError as exc:
@@ -198,6 +211,7 @@ def cmd_tau_drift(args, out) -> int:
 
 
 def cmd_curve(args, out) -> int:
+    from . import eventual
     lo, hi, m = _parse_range(args.grid)
     sigma = args.family == "sigma"
     ts = [t for t in np.linspace(lo, hi, m) if (t >= 0 if sigma else t > 0)]
@@ -209,6 +223,7 @@ def cmd_curve(args, out) -> int:
 
 
 def cmd_levy_build(args, out) -> int:
+    from . import diffop, levygen
     tr = _load(levygen.parse_levy_triple, args.triple, order=args.d)
     if args.halfline:
         if tr.n != 1:

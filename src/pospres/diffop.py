@@ -38,10 +38,71 @@ from .polyalg import (
 )
 
 
+# Diagonal Pade approximants r_m = (V + U) / (V - U) to exp, with U odd and V
+# even in A: b[k] / b[0] multiplies A^k, so a column that A maps to zero comes
+# out of the solve exactly.  r_m is used while ||A||_1 <= theta_m, which bounds
+# its backward error by the unit roundoff (Higham 2005, Table 2.3).
+_PADE = {m: tuple(c / b[0] for c in b) for m, b in {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}.items()}
+_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+          (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_THETA13 = 5.371920351148152
+
+
 def expm(A: np.ndarray) -> np.ndarray:
-    """Dense matrix exponential; scipy.linalg is imported on the first call, not with pospres."""
-    from scipy.linalg import expm as scipy_expm
-    return scipy_expm(A)
+    """Dense matrix exponential by scaling and squaring on a diagonal Pade approximant.
+
+    N. J. Higham, "The scaling and squaring method for the matrix
+    exponential revisited", SIAM J. Matrix Anal. Appl. 26 (2005): the
+    degree m in {3, 5, 7, 9, 13} is the least whose theta_m bounds the
+    1-norm; past theta_13 the matrix is scaled by 2^-s into range, the
+    approximant is solved from (V - U) R = V + U and squared s times.
+    A non-finite entry raises ValueError; a result that overflows double
+    precision raises ArithmeticError.  numpy only, so no scipy is loaded.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expm needs a square matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("non-finite entry in the matrix to exponentiate")
+    if A.size == 0:
+        return A.copy()
+    norm = float(np.abs(A).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise ArithmeticError("matrix exponential: the 1-norm overflows")
+    m = next((m for m, theta in _THETA if norm <= theta), 13)
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if m == 13 else 0
+    b, ident = _PADE[m], np.eye(A.shape[0])
+    A = np.ldexp(A, -s)
+    A2 = A @ A
+    if m < 13:
+        powers = [ident, A2]
+        while len(powers) <= m // 2:
+            powers.append(powers[-1] @ A2)
+        U = A @ sum(b[2 * k + 1] * P for k, P in enumerate(powers))
+        V = sum(b[2 * k] * P for k, P in enumerate(powers))
+    else:
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
+        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = np.linalg.solve(V - U, V + U)
+        for _ in range(s):
+            R = R @ R
+    if not np.isfinite(R).all():
+        raise ArithmeticError("matrix exponential overflows double precision")
+    return R
 
 
 class TruncationError(ValueError):
@@ -349,8 +410,9 @@ def exp_op(A: DiffOp, t: float, d: int) -> DiffOp:
         from .momseq import conv_exp, dop_from_seq
         return dop_from_seq(conv_exp(_sequence(A, d), t))
     M = matrix_rep(A, d)
-    E = expm(t * M.entries)
-    return canonical_from_action(OpMatrix(M.basis, E))
+    with np.errstate(over="ignore", invalid="ignore"):  # expm refuses what overflows here
+        tM = t * M.entries
+    return canonical_from_action(OpMatrix(M.basis, expm(tM)))
 
 
 def log_op(T: DiffOp, d: int) -> DiffOp:

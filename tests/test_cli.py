@@ -80,9 +80,15 @@ def test_exit_code_usage_error(run_cli, run_here):
                  ["check-preserver", "--op", "data/heat.op", "--K", "full", "--d", "3",
                   "--ys=0:1:0"],
                  ["curve", "drift", "--grid", "1:8:0"],
-                 ["curve", "drift", "--grid=-1:0:3"]):  # no time t > 0
-        code, _, err = run_here(*argv)
+                 ["curve", "drift", "--grid=-1:0:3"],  # no time t > 0
+                 # the matrix route of exp: a non-finite t*A, or an overflowing result
+                 ["exp", "--op", "data/drift.op", "--d", "2", "--t", "nan"],
+                 ["exp", "--op", "data/drift.op", "--d", "2", "--t", "inf"],
+                 ["exp", "--op", "data/drift.op", "--d", "2", "--t", "1e308"],
+                 ["exp", "--op", "data/drift.op", "--d", "2", "--t", "1e5"]):
+        code, out, err = run_here(*argv)
         assert code == 2, argv
+        assert out == "", argv
         assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
@@ -120,14 +126,6 @@ def test_internal_error_exits_2_without_traceback(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == "error: internal: RuntimeError: broken command\n"
     assert "Traceback" not in err
-
-
-def test_import_loads_no_scipy(run_python):
-    # scipy.linalg and scipy.optimize are imported by the calls that need them
-    cp = run_python("-c", "import sys, pospres; "
-                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert cp.returncode == 0, cp.stderr
-    assert cp.stdout == "[]\n"
 
 
 def test_tau_drift_cli_bracket_inside_published_interval(run_here):

@@ -351,6 +351,15 @@ def test_exp_semigroup_law():
         assert np.allclose(lhs, rhs, atol=1e-10)
 
 
+@pytest.mark.parametrize("t, error", [(math.nan, ValueError), (math.inf, ValueError),
+                                      (-math.inf, ValueError), (1e308, ValueError),
+                                      (1e5, ArithmeticError)])
+def test_exp_of_non_constant_operator_refuses_non_finite_results(t, error):
+    # the matrix route refuses what it cannot represent, as the constant route does
+    with pytest.raises(error):
+        exp_op(drift_op(1.0), t, 2)
+
+
 # ---------------------------------------------------------------------------
 # exp_limit_check
 # ---------------------------------------------------------------------------
