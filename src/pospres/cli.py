@@ -61,7 +61,7 @@ def _sample_points_from(ys_spec: str | None, n: int):
     return preserver.sample_points([(lo, hi)] * n, per_axis=m)
 
 
-def _grid_from(grid_spec: str | None, K: preserver.KDescriptor):
+def _grid_from(grid_spec: str | None, K):
     from . import preserver
     if grid_spec is None:
         return preserver.grid_points(K)

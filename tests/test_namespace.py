@@ -36,8 +36,6 @@ EXPORTS = [
 ]
 MODULES = ("polyalg", "diffop", "momseq", "preserver", "levygen", "eventual")
 
-LOADED = ("import sys; print(sorted(m for m in sys.modules "
-          "if m.split('.')[0] in ('pospres', 'numpy', 'scipy') and m != 'pospres'))")
 # `python -m pospres ARGS` in a child that reports its modules on stderr once the command ran
 RUN_COMMAND = ("import runpy, sys\n"
                "try:\n"
@@ -55,7 +53,9 @@ def loaded_by_command(run_python, *argv):
 
 def test_import_loads_no_submodule_numpy_or_scipy(run_python):
     # a submodule is still reachable as an attribute, and loads on first use
-    cp = run_python("-c", "import pospres; " + LOADED + "; print(pospres.momseq.__name__)")
+    cp = run_python("-c", "import sys, pospres; print(sorted(m for m in sys.modules if "
+                          "m.split('.')[0] in ('pospres', 'numpy', 'scipy') and m != 'pospres')); "
+                          "print(pospres.momseq.__name__)")
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout == "[]\npospres.momseq\n"
 
@@ -84,6 +84,7 @@ def test_star_import_and_unknown_attribute():
 
 
 def test_exp_of_non_constant_operator_loads_no_scipy(run_python):
+    # drift.op has non-constant coefficients, so exp_op takes the matrix exponential
     mods = loaded_by_command(run_python, "exp", "--op", "data/drift.op", "--t", "2.0", "--d", "2")
     assert "pospres.diffop" in mods
     assert not [m for m in mods if m.split(".")[0] == "scipy"]

@@ -645,11 +645,3 @@ def test_expm_refuses_non_finite_input_and_overflow(A, error):
     with pytest.raises(error):
         pade_expm(A)
 
-
-def test_exp_of_non_constant_operator_loads_no_scipy_linalg(run_python):
-    cp = run_python("-c", "import sys\n"
-                          "from pospres.diffop import exp_op, parse_operator\n"
-                          "exp_op(parse_operator(open('data/drift.op').read()), 2.0, 4)\n"
-                          "print([m for m in sys.modules if m.startswith('scipy.linalg')])")
-    assert cp.returncode == 0, cp.stderr
-    assert cp.stdout == "[]\n"
