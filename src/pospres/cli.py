@@ -3,15 +3,15 @@
 Exit codes: 0 for pass/inconclusive-positive results, 1 for a refutation
 (witnesses printed), 2 for usage or parse errors.  All numeric output uses
 %.17g so that identical inputs produce byte-identical output.  Each command
-imports the modules it uses, so a cold process loads no more than it runs.
+imports the modules it uses, and those import numpy only inside the functions
+that build arrays, so a cold process loads no more than it runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
-
-import numpy as np
 
 from .polyalg import format_point, parse_poly
 
@@ -26,6 +26,17 @@ def _parse_range(text: str):
     if len(parts) != 3 or int(parts[2]) < 1:
         raise ValueError(f"expected LO:HI:N with N >= 1, got {text!r}")
     return float(parts[0]), float(parts[1]), int(parts[2])
+
+
+def _linspace(lo: float, hi: float, m: int) -> list:
+    """m evenly spaced times from lo to hi: the floats of numpy.linspace(lo, hi, m)."""
+    delta = hi - lo
+    if m == 1:
+        return [0.0 * delta + lo]
+    step = delta / (m - 1)
+    if step == 0.0:  # numpy's route for a step that underflows to zero
+        return [i / (m - 1) * delta + lo for i in range(m - 1)] + [hi]
+    return [i * step + lo for i in range(m - 1)] + [hi]
 
 
 def _parse_list(text: str):
@@ -214,7 +225,7 @@ def cmd_curve(args, out) -> int:
     from . import eventual
     lo, hi, m = _parse_range(args.grid)
     sigma = args.family == "sigma"
-    ts = [t for t in np.linspace(lo, hi, m) if (t >= 0 if sigma else t > 0)]
+    ts = [t for t in _linspace(lo, hi, m) if (t >= 0 if sigma else t > 0)]
     if not ts:
         raise ValueError(f"no time in --grid {args.grid} lies in the {args.family} curve's domain")
     rows = eventual.sigma_curve_rows(ts) if sigma else eventual.drift_curve_rows(args.a, ts)
@@ -239,8 +250,21 @@ def cmd_levy_build(args, out) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads `-1e-3` as a negative number, not an option.
+
+    argparse's own matcher takes only the `-5` and `-.5` forms; this one takes
+    any token that starts with `-` and a digit, or `-.` and a digit.
+    Subparsers are made of the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pospres",
         description="Positivity-preserver and semigroup-generator checks on polynomial spaces.")
     sub = ap.add_subparsers(dest="command", required=True)

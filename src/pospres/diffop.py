@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .polyalg import (
     INDEX,
     BasisMap,
@@ -68,6 +66,7 @@ def expm(A: np.ndarray) -> np.ndarray:
     A non-finite entry raises ValueError; a result that overflows double
     precision raises ArithmeticError.  numpy only, so no scipy is loaded.
     """
+    import numpy as np
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expm needs a square matrix, got shape {A.shape}")
@@ -266,6 +265,7 @@ class OpMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         m = np.asarray(self.entries, dtype=float)
         if m.shape != (self.basis.dim, self.basis.dim):
             raise DimensionMismatchError("matrix shape does not match basis dimension")
@@ -295,6 +295,7 @@ def apply(T: DiffOp, p: Poly) -> Poly:
 
 def matrix_rep(T: DiffOp, d: int) -> OpMatrix:
     """Matrix of T on R[x]_{<=d}; requires a degree-preserving coefficient table."""
+    import numpy as np
     if not T.degree_preserving:
         raise DegreeBoundError("operator does not preserve degree; no matrix restriction")
     T._require_order(d, "matrix_rep")
@@ -315,6 +316,7 @@ def canonical_from_action(action: OpMatrix, tol: float = 1e-9) -> DiffOp:
     means the matrix is not the restriction of a degree-preserving operator
     and raises DegreeBoundError.
     """
+    import numpy as np
     basis = action.basis
     n = basis.n
     scale = max(1.0, float(np.max(np.abs(action.entries))))
@@ -387,6 +389,7 @@ def invert(T: DiffOp, d: int) -> DiffOp:
     T._require_order(d, "invert")
     if T.has_constant_coefficients():
         return _unit_series(T, d, [(-1.0) ** k / T.q0 for k in range(d + 1)])
+    import numpy as np
     M = matrix_rep(T, d)
     try:
         inv = np.linalg.solve(M.entries, np.eye(M.basis.dim))
@@ -409,6 +412,7 @@ def exp_op(A: DiffOp, t: float, d: int) -> DiffOp:
     if A.has_constant_coefficients():
         from .momseq import conv_exp, dop_from_seq
         return dop_from_seq(conv_exp(_sequence(A, d), t))
+    import numpy as np
     M = matrix_rep(A, d)
     with np.errstate(over="ignore", invalid="ignore"):  # expm refuses what overflows here
         tM = t * M.entries
@@ -435,6 +439,7 @@ def exp_limit_check(A: DiffOp, t: float, d: int, k: int) -> float:
     exponential; the discrepancy decays as k grows.  Convergence
     diagnostic only, not a certificate.
     """
+    import numpy as np
     if k < 1:
         raise ValueError("need k >= 1")
     M = matrix_rep(A, d).entries

@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .diffop import expm
 from .momseq import MomentSeq, moment_matrices, psd_stack
 from .polyalg import CLOUD_BLOCK
@@ -66,6 +64,7 @@ class ThresholdResult:
 
 def _sigma_moments(ts) -> np.ndarray:
     """Row k holds the scaling sequence (e^{t_k j^3})_{j=0..4}."""
+    import numpy as np
     S = np.array([[math.exp(t * j ** 3) for j in range(5)] for t in ts]).reshape(-1, 5)
     for j in range(5):
         if not np.isfinite(S[:, j]).all():
@@ -106,6 +105,7 @@ def sigma_curve(ts):
     ~1e-8, so agreement is measured against that scale, not the value.
     Each block of times takes one stacked det and one stacked eigvalsh.
     """
+    import numpy as np
     ts = [float(t) for t in ts]
     h2s, sigma3s = [], []
     for lo in range(0, len(ts), CLOUD_BLOCK):
@@ -116,10 +116,11 @@ def sigma_curve(ts):
         sigma3s += psd_stack(M)[1].tolist()
         # the LU determinant loses accuracy as the entry range explodes, so the
         # cross-check tolerance scales with the cubed entry magnitude; on the
-        # bracketing region (t <= 0.5) this is a genuine 1e-12 agreement
+        # bracketing region (t <= 0.5) this is a genuine 1e-12 agreement.
+        # Entry (0, 0) is s_0 = e^0 = 1, so big >= 1 needs no floor.
         for t, det, big in zip(block, dets.tolist(), np.abs(M).max(axis=(1, 2)).tolist()):
             closed = h2_closed(t)
-            scale = max(1.0, big) ** 3
+            scale = big ** 3
             if math.isfinite(closed) and math.isfinite(det) and math.isfinite(scale):
                 if abs(closed - det) > 1e-12 * scale:
                     raise ArithmeticError(
@@ -183,6 +184,7 @@ def find_tau_sigma(tol: float = 1e-7, lo: float = 1e-4, hi: float = 0.1) -> Thre
 
 def drift_generator_matrix(a: float) -> np.ndarray:
     """Matrix of a*d + (x^2-1)/2 * d^2 on the basis {1, x, x^2}."""
+    import numpy as np
     return np.array([[0.0, a, -1.0],
                      [0.0, 0.0, 2.0 * a],
                      [0.0, 0.0, 1.0]])
@@ -196,6 +198,7 @@ def drift_example_expm(a: float, t: float) -> np.ndarray:
     matrix exponential of the same generator must agree entrywise to 1e-12
     relative.
     """
+    import numpy as np
     et = math.exp(t)
     f = (2 * a * a - 1.0) * (et - 1.0) - 2 * a * a * t
     g = 2 * a * (et - 1.0)
@@ -234,7 +237,9 @@ def m_noise_floor(a: float, t: float) -> float:
 
     The two E^2 blocks cancel exactly at |a| = 5^{-1/2}, so for large t the
     computed value carries dust of order eps * E * max(1, 5 a^2); sign
-    decisions closer to zero than this are meaningless.
+    decisions closer to zero than this are meaningless.  The max is a real
+    scale, not a guard: the largest terms of m are -E and about 5 a^2 E, and
+    for |a| < 5^{-1/2} the first one is the larger.
     """
     E = math.expm1(t)
     return 8.0 * 2.220446049250313e-16 * E * max(1.0, 5.0 * a * a)

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .polyalg import (
     INDEX,
     BasisMap,
@@ -278,6 +276,7 @@ def moment_matrices(S: np.ndarray, n: int, d: int, weight=None) -> np.ndarray:
     (kappa, c) in graded order, c a scalar or one value per row, and entry
     (beta, gamma) becomes the sum over the terms of c * s_{beta+gamma+kappa}.
     """
+    import numpy as np
     if weight is None:
         return S[:, hankel_index(n, d)]
     out = np.zeros((len(S),) + hankel_index(n, d).shape)
@@ -294,6 +293,7 @@ def psd_stack(A: np.ndarray, tol: float = 1e-10):
     change when the matrix is scaled by c > 0 (the zero matrix passes, as
     0 >= -0).  A non-symmetric matrix raises ValueError.
     """
+    import numpy as np
     if A.shape[-1] == 0:
         return np.ones(len(A), dtype=bool), np.zeros(len(A))
     if not np.array_equal(A, A.swapaxes(-1, -2)):
@@ -307,6 +307,7 @@ def moment_matrix(s: MomentSeq, d: int, w: Poly | None = None) -> MomentMatrix:
 
     The one-sequence case of ``moment_matrices``.
     """
+    import numpy as np
     wdeg = 0 if w is None else int(max(w.degree, 0))
     if w is not None and w.n != s.n:
         raise DimensionMismatchError("weight polynomial arity differs")

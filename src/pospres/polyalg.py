@@ -13,7 +13,8 @@ constant-coefficient differential operator triangular with the constant
 term on the diagonal, which the operator-algebra layer relies on for
 logarithms and exactness arguments.  The shared index tables of that basis
 (``graded_basis``, the Hankel tables of ``hankel_index``) and the evaluation
-of polynomials over whole point clouds (``evaluate``) live here too.
+of polynomials over whole point clouds (``evaluate``) live here too; they
+import numpy when called, so the dictionary arithmetic loads without it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import functools
 import math
 import re
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 MultiIndex = tuple  # exponent tuple, one entry per variable
 
@@ -344,6 +343,7 @@ class BasisMap:
         return self.indices[i]
 
     def poly_to_vec(self, p: Poly) -> np.ndarray:
+        import numpy as np
         if p.n != self.n:
             raise DimensionMismatchError("variable counts differ")
         if p.degree > self.d:
@@ -373,6 +373,7 @@ def hankel_index(n: int, d: int, shift: MultiIndex | None = None) -> np.ndarray:
     the (shifted) moment matrix from sequences stored in graded order.  The
     table is read-only because every caller shares it.
     """
+    import numpy as np
     basis = graded_basis(n, d)
     shift = (0,) * n if shift is None else tuple(shift)
     pos = graded_basis(n, 2 * d + mi_degree(shift))._pos
@@ -391,6 +392,7 @@ CLOUD_BLOCK = 4096  # points per pass of the batched kernels; bounds their memor
 
 def as_cloud(points, n: int) -> np.ndarray:
     """The points as a float array of shape (len(points), n)."""
+    import numpy as np
     try:
         X = np.asarray(points, dtype=float)
     except ValueError:
@@ -404,6 +406,7 @@ def as_cloud(points, n: int) -> np.ndarray:
 
 def _powers(column: np.ndarray, a: int) -> np.ndarray:
     """column ** a elementwise by Python's float power (numpy's may round differently)."""
+    import numpy as np
     values, where = np.unique(column, return_inverse=True)
     return np.array([v ** a for v in values.tolist()], dtype=float)[where]
 
@@ -431,6 +434,7 @@ def evaluate(polys, points) -> np.ndarray:
     ``_term_sum`` on columns, with the powers (shared by all polynomials)
     taken by Python's float power.
     """
+    import numpy as np
     polys = list(polys)
     if not polys:
         return np.zeros((0, len(points)))

@@ -92,6 +92,27 @@ def test_exit_code_usage_error(run_cli, run_here):
         assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
+@pytest.mark.parametrize("spaced, joined, code", [
+    (["exp", "--op", "data/heat.op", "--d", "2", "--t", "-1e-3"],
+     ["exp", "--op", "data/heat.op", "--d", "2", "--t=-1e-3"], 0),
+    (["exp", "--op", "data/drift.op", "--d", "2", "--t", "-1.5E-1"],
+     ["exp", "--op", "data/drift.op", "--d", "2", "--t=-1.5E-1"], 0),
+    (["tau-drift", "--a", "-1e0", "--tol", "1e-5"], ["tau-drift", "--a=-1e0", "--tol=1e-5"], 0),
+    (["tau-drift", "--a", "-.5e1"], ["tau-drift", "--a=-.5e1"], 0),
+    (["tau-drift", "--a", "1", "--tol", "-1e-5"], ["tau-drift", "--a", "1", "--tol=-1e-5"], 2),
+    (["curve", "sigma", "--grid", "-1e-3:0.015:8"], ["curve", "sigma", "--grid=-1e-3:0.015:8"], 0),
+])
+def test_negative_number_with_exponent_is_a_value(spaced, joined, code, run_here):
+    # argparse's own matcher reads `-1e-3` as an option and rejects `--t -1e-3`
+    got, out, err = run_here(*spaced)
+    assert (got, out, err) == run_here(*joined)
+    assert got == code
+    if code == 2:  # a negative tolerance is refused by the command, not the parser
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+    else:
+        assert out and err == ""
+
+
 @pytest.mark.parametrize("argv, text", [
     (["check-preserver", "--K", "full", "--d", "2", "--op"], "[-1] = 1\n"),
     (["invert", "--d", "2", "--op"], "[-1] = 1\n"),

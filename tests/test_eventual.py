@@ -59,6 +59,15 @@ def test_sigma_two_path_agreement_on_bracket_region():
         assert abs(closed - det) <= 1e-12 * scale
 
 
+def test_sigma_moment_scale_is_at_least_one():
+    # sigma_curve's cross-check scales by the largest entry cubed without a
+    # floor of 1: entry (0, 0) is e^0 = 1 at every time
+    for t in np.linspace(-1.0, 0.5, 301):
+        M = moment_matrix(sigma_scaling_sequence(float(t)), 2).entries
+        assert M[0, 0] == 1.0
+        assert np.abs(M).max() >= 1.0
+
+
 def test_sigma_positive_after_threshold():
     tau = find_tau_sigma(tol=1e-7).tau_hi
     for t in np.linspace(tau + 1e-4, 10.0, 500):
@@ -149,6 +158,20 @@ def test_m_min_published_sign_pattern():
     assert m_min(1.0, 0.5) < 0.0
     with pytest.raises(ValueError):
         m_min(1.0, 0.0)
+
+
+@pytest.mark.parametrize("a", [0.3, BOUNDARY_A, 1.0, 3.0, 10.0])
+@pytest.mark.parametrize("t", [1e-3, 0.5, 2.0, 10.0, 50.0])
+def test_m_min_within_noise_floor_of_50_digit_value(a, t):
+    # the floor max(1, 5 a^2) holds the -E term (the larger for a = 0.3) and
+    # the 5 a^2 E terms (the larger from a = 1 on)
+    import mpmath
+    from pospres.eventual import m_noise_floor
+    with mpmath.workdps(50):
+        ma, mt = mpmath.mpf(a), mpmath.mpf(t)
+        E = mpmath.expm1(mt)
+        exact = -E + ma * ma * (5 * E * E - (8 * mt + mt * mt) * E + 3 * mt * mt) / E
+        assert abs(m_min(a, t) - exact) <= m_noise_floor(a, t)
 
 
 def test_m_min_small_t_stability():

@@ -1,11 +1,14 @@
 """The lazy package namespace: what `import pospres` and each command load.
 
 `import pospres` loads no submodule; an exported name imports the module
-that defines it on first use.  Module loading is checked in child
-processes, whose module tables start empty.
+that defines it on first use.  numpy loads with the first array, so a
+command that computes only closed forms or dictionary arithmetic never loads
+it.  Module loading is checked in child processes, whose module tables start
+empty.
 """
 
 import importlib
+import json
 
 import pytest
 
@@ -44,6 +47,24 @@ RUN_COMMAND = ("import runpy, sys\n"
                "    print(' '.join(sorted(sys.modules)), file=sys.stderr)\n")
 
 
+# commands without an array: (expected exit code, argv run in tests/); all but the
+# last two are golden cases, and exp of the heat operator takes the sequence route
+ARRAY_FREE_COMMANDS = [
+    (0, ["tau-drift", "--a", "1", "--tol", "1e-5"]),
+    (0, ["tau-drift", "--a", "0.44721359"]),
+    (0, ["seq", "conv", "--a", "data/d1.seq", "--b", "data/d2.seq"]),
+    (0, ["seq", "hadamard", "--a", "data/d1.seq", "--b", "data/d2.seq"]),
+    (0, ["seq", "carleman", "--seq", "data/pm1.seq"]),
+    (0, ["invert", "--op", "data/oneplusd.op", "--d", "4"]),
+    (0, ["log", "--op", "data/heat.op", "--d", "6"]),
+    (0, ["compose", "--op", "data/oneplusd.op", "--op2", "data/oneplusd.op", "--d", "3"]),
+    (0, ["curve", "drift", "--a", "0.45", "--grid", "1:8:8"]),
+    (2, ["seq", "conv", "--a", "data/d1.seq"]),
+    (0, ["exp", "--op", "data/heat.op", "--t", "0.5", "--d", "6"]),
+]
+LOADED_NUMPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')"
+
+
 def loaded_by_command(run_python, *argv):
     """Modules that a `python -m pospres *argv` process has loaded when it exits."""
     cp = run_python("-c", RUN_COMMAND, *argv)
@@ -58,6 +79,28 @@ def test_import_loads_no_submodule_numpy_or_scipy(run_python):
                           "print(pospres.momseq.__name__)")
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout == "[]\npospres.momseq\n"
+
+
+def test_array_free_modules_load_no_numpy(run_python):
+    cp = run_python("-c", "import sys\n"
+                          "import pospres.cli, pospres.polyalg, pospres.diffop, pospres.momseq\n"
+                          "import pospres.eventual\n"
+                          f"print({LOADED_NUMPY})")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "[]\n"
+
+
+def test_commands_without_arrays_load_no_numpy(run_python):
+    # one child runs every command in turn, so the check costs one interpreter start
+    script = ("import io, json, sys\n"
+              "from pospres import cli\n"
+              "codes = [cli.run(argv, io.StringIO()) for argv in json.loads(sys.argv[1])]\n"
+              f"print(json.dumps([codes, {LOADED_NUMPY}]))")
+    cp = run_python("-c", script, json.dumps([argv for _, argv in ARRAY_FREE_COMMANDS]))
+    assert cp.returncode == 0, cp.stderr
+    codes, numpy_modules = json.loads(cp.stdout)
+    assert codes == [code for code, _ in ARRAY_FREE_COMMANDS]
+    assert numpy_modules == []
 
 
 def test_export_list_is_frozen():
@@ -86,7 +129,7 @@ def test_star_import_and_unknown_attribute():
 def test_exp_of_non_constant_operator_loads_no_scipy(run_python):
     # drift.op has non-constant coefficients, so exp_op takes the matrix exponential
     mods = loaded_by_command(run_python, "exp", "--op", "data/drift.op", "--t", "2.0", "--d", "2")
-    assert "pospres.diffop" in mods
+    assert {"pospres.diffop", "numpy"} <= mods
     assert not [m for m in mods if m.split(".")[0] == "scipy"]
     assert not {"pospres.momseq", "pospres.preserver", "pospres.levygen",
                 "pospres.eventual"} & mods

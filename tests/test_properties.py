@@ -9,7 +9,8 @@ and agree with the dense matrix route.  The cloud checks give the verdicts,
 witnesses and bit-identical eigenvalues of a per-point reference written
 here with plain loops.  Moment and grid verdicts do not change when the
 operator is scaled by c > 0.  The numpy matrix exponential agrees with
-scipy's in every Pade branch and is exact where the answer is.  Every test is derandomized with a bounded example
+scipy's in every Pade branch and is exact where the answer is.  The time grid
+of `pospres curve` is numpy.linspace's, bit for bit.  Every test is derandomized with a bounded example
 count, so the suite stays deterministic.
 """
 
@@ -19,9 +20,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
+from pospres.cli import _linspace
 from pospres.polyalg import Poly, evaluate, iter_multiindices, mi_factorial, parse_poly
 from pospres.diffop import (
     DiffOp,
@@ -645,3 +647,16 @@ def test_expm_refuses_non_finite_input_and_overflow(A, error):
     with pytest.raises(error):
         pade_expm(A)
 
+
+grid_ends = finite | st.sampled_from([0.0, -0.0])
+
+
+@SETTINGS
+@given(st.tuples(grid_ends, grid_ends) | grid_ends.map(lambda x: (x, x)), st.integers(1, 500))
+@example((-0.0, 1.0), 1)  # 0 * (hi - lo) + lo is +0.0
+@example((0.0, 5e-324), 4)  # the step underflows to zero, the grid does not
+def test_curve_grid_is_linspace_bit_for_bit(ends, m):
+    lo, hi = ends
+    with np.errstate(all="ignore"):  # an overflowing hi - lo gives inf and nan in both
+        expected = np.linspace(lo, hi, m).tolist()
+    assert [t.hex() for t in _linspace(lo, hi, m)] == [t.hex() for t in expected]
