@@ -150,7 +150,8 @@ class KDescriptor:
 
         Box, half-line and lattice points have closed forms; ball and lattice
         balls compare math.dist with the radius + 1e-12, and a cone asks
-        whether nnls reaches the point within 1e-9 * max(1, |x|) (``_in_cone``).
+        whether its distance to the point is at most 1e-9 * |x| (``_in_cone``),
+        a threshold as invariant under positive scaling as the cone.
         """
         X = as_cloud(points, self.n)
         if self.variant == FULL_SPACE:
@@ -183,33 +184,99 @@ def _within(X: np.ndarray, C: np.ndarray, limit: float) -> np.ndarray:
 
 
 def _in_cone(X: np.ndarray, rays, tol: float = 1e-9) -> np.ndarray:
-    """Membership in the conic hull of the rays: the residual of nonnegative
-    least squares is at most tol * max(1, |x|).
+    """Membership in the conic hull of the rays: the distance to the cone is
+    at most tol * |x|.
 
-    The rays are solved once for the whole cloud.  For independent rays with
-    condition number at most 1e4, the least-squares coefficients c and
-    residual r bound the distance to the cone: it is |r| when c >= 0, and at
-    least max(|r|, sigma_min * max(-c)) otherwise.  Points whose bound lies
-    clear of the threshold (below half of it, or above twice it) are decided
-    by it; the rest, near the boundary, and all points of other ray sets are
-    decided by nnls, one point at a time.
+    The threshold is purely relative, like the cone: a point is a member
+    exactly when every positive multiple is, and the apex is one (its
+    distance is exactly 0).  The rays are solved once for the whole cloud.
+    For independent rays with condition number at most 1e4, the
+    least-squares coefficients c and residual r bound the distance from both
+    sides: A max(c, 0) lies in the cone, so it is at most
+    |r| + sigma_max * |min(c, 0)|, and it is at least
+    max(|r|, sigma_min * max(-c)).  A point whose upper bound is at most half
+    the threshold is inside, and one whose lower bound exceeds twice the
+    threshold is outside; the rest, and all points of other ray sets, are
+    decided by the nonnegative least-squares residual (``_nnls_residual``),
+    one point at a time.  A non-finite point raises ValueError.
     """
+    if not np.isfinite(X).all():
+        raise ValueError("cone membership needs finite points")
     A = np.array(rays, dtype=float).T
-    thresh = tol * np.maximum(1.0, np.linalg.norm(X, axis=1))
+    thresh = tol * np.linalg.norm(X, axis=1)
     inside = np.zeros(len(X), dtype=bool)
     undecided = np.ones(len(X), dtype=bool)
     sv = np.linalg.svd(A, compute_uv=False)
     if len(X) and A.shape[1] <= A.shape[0] and sv[-1] * 1e4 >= sv[0]:
         C = np.linalg.lstsq(A, X.T, rcond=None)[0]
         resid = np.linalg.norm(X.T - A @ C, axis=0)
-        neg = np.maximum(0.0, -C.min(axis=0))
-        inside = (neg == 0.0) & (resid <= 0.5 * thresh)
-        undecided = ~inside & (np.maximum(resid, sv[-1] * neg) <= 2.0 * thresh)
-    if undecided.any():
-        from scipy.optimize import nnls
-        for k in np.flatnonzero(undecided):
-            inside[k] = nnls(A, X[k])[1] <= tol * max(1.0, float(np.linalg.norm(X[k])))
+        neg = np.minimum(C, 0.0)
+        inside = resid + sv[0] * np.linalg.norm(neg, axis=0) <= 0.5 * thresh
+        undecided = ~inside & (np.maximum(resid, -sv[-1] * neg.min(axis=0)) <= 2.0 * thresh)
+    for k in np.flatnonzero(undecided):
+        inside[k] = _nnls_residual(A, X[k]) <= thresh[k]
     return inside
+
+
+def _nnls_residual(A: np.ndarray, b: np.ndarray) -> float:
+    """min |A x - b| over x >= 0, by Lawson and Hanson's active-set method
+    (Solving Least Squares Problems, 1974, ch. 23).
+
+    Each passive set is solved by one SVD, truncated as lstsq truncates it,
+    which also gives the residual as b minus its projection: accurate to
+    rounding in b even when the coefficients are large.  A column whose
+    gradient is positive, or zero up to rounding, is tried: it joins when its
+    coefficient comes out positive and the residual then falls, and is set
+    aside until x moves again otherwise.  The residual falls strictly with
+    every move, so rounding cannot make the method cycle, and every quantity
+    compared scales with b, so the residual of 2^j b is 2^j times that of b.
+    After 10 k trials for k columns it raises ArithmeticError instead of
+    returning an unconverged residual.
+    """
+    k = A.shape[1]
+
+    def solve(passive):
+        U, s, Vt = np.linalg.svd(A[:, passive], full_matrices=False)
+        keep = s > np.finfo(float).eps * max(A.shape) * s.max(initial=0.0)
+        c = U[:, keep].T @ b
+        z = np.zeros(k)
+        z[passive] = Vt[keep].T @ (c / s[keep])
+        return z, b - U[:, keep] @ c
+
+    # the rounding error of a gradient entry; a gradient above -noise may be 0
+    noise = 10.0 * np.finfo(float).eps * max(A.shape) * np.linalg.norm(A) \
+        * np.linalg.norm(b)
+    x, r = np.zeros(k), b
+    passive = np.zeros(k, dtype=bool)
+    blocked = np.zeros(k, dtype=bool)
+    for _ in range(10 * k):
+        w = A.T @ r
+        w[passive | blocked] = -np.inf
+        j = int(np.argmax(w))
+        if not w[j] > -noise:
+            break
+        p, y = passive.copy(), x
+        p[j] = True
+        z, rz = solve(p)
+        if not z[j] > 0:
+            blocked[j] = True
+            continue
+        while not (z[p] > 0).all():
+            # move toward z until the first passive coefficient reaches 0, and drop it
+            step = np.flatnonzero(p & ~(z > 0))
+            ratios = y[step] / (y[step] - z[step])
+            y = y + ratios.min() * (z - y)
+            y[step[np.argmin(ratios)]] = 0.0
+            p &= y > 0
+            z, rz = solve(p)
+        if np.linalg.norm(rz) < np.linalg.norm(r):
+            x, r, passive = z, rz, p
+            blocked[:] = False
+        else:
+            blocked[j] = True
+    else:
+        raise ArithmeticError("nonnegative least squares did not converge")
+    return float(np.linalg.norm(r))
 
 
 def ksharp(K: KDescriptor) -> KDescriptor:

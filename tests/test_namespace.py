@@ -3,12 +3,15 @@
 `import pospres` loads no submodule; an exported name imports the module
 that defines it on first use.  numpy loads with the first array, so a
 command that computes only closed forms or dictionary arithmetic never loads
-it.  Module loading is checked in child processes, whose module tables start
+it.  No source module imports scipy, and cone membership runs without it.
+Module loading is checked in child processes, whose module tables start
 empty.
 """
 
 import importlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +136,24 @@ def test_exp_of_non_constant_operator_loads_no_scipy(run_python):
     assert not [m for m in mods if m.split(".")[0] == "scipy"]
     assert not {"pospres.momseq", "pospres.preserver", "pospres.levygen",
                 "pospres.eventual"} & mods
+
+
+def test_cone_membership_loads_no_scipy(run_python):
+    # the second cone has a dependent ray, so each of its points takes the active-set path
+    cp = run_python("-c", "import sys\n"
+                          "from pospres.preserver import KDescriptor, grid_points\n"
+                          "print(len(grid_points(KDescriptor.cone([(1, 0), (1, 1)]))))\n"
+                          "print(len(grid_points(KDescriptor.cone([(1, 0), (1, 1), (2, 1)]), m=9)))\n"
+                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "231\n15\n[]\n"
+
+
+def test_no_source_module_imports_scipy():
+    source = Path(pospres.__file__).parent
+    importing = [p.name for p in sorted(source.glob("*.py"))
+                 if re.search(r"^\s*(import|from)\s+scipy\b", p.read_text(), re.MULTILINE)]
+    assert importing == []
 
 
 def test_threshold_command_loads_no_preserver_checks(run_python):

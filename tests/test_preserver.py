@@ -33,6 +33,7 @@ from pospres.preserver import (
     square_trials,
 )
 from pospres.diffop import build_substitution_preserver
+from pospres import preserver
 
 X = Poly.variable(1, 0)
 
@@ -357,6 +358,31 @@ def test_sampling_helpers_deterministic():
     assert sample_points([(-1, 1)], per_axis=5) == sample_points([(-1, 1)], per_axis=5)
     assert grid_points(KDescriptor.box([(0.0, 1.0)]), m=11) == [
         (x,) for x in np.linspace(0, 1, 11)]
+
+
+def test_cone_grid_is_decided_without_nnls(monkeypatch):
+    # the benchmark's cone: points on its boundary rays, whose least-squares
+    # coefficients are negative only by rounding, are decided by the distance bounds
+    calls = []
+    nnls_residual = preserver._nnls_residual
+    monkeypatch.setattr(preserver, "_nnls_residual",
+                        lambda A, b: calls.append(b) or nnls_residual(A, b))
+    pts = grid_points(KDescriptor.cone([(1.0, 0.0), (1.0, 1.0)]), -10.0, 10.0, 41)
+    assert len(pts) == 231 and calls == []
+
+
+def test_cone_threshold_is_relative_to_the_point():
+    K = KDescriptor.cone([(1.0, 0.0), (1.0, 1.0)])
+    assert K.contains((0.0, 0.0)) and not K.contains((-1e-12, 0.0))
+    assert K.contains((1.0, -1e-10)) and not K.contains((1.0, -1e-8))
+
+
+@pytest.mark.parametrize("rays", [[(1.0, 0.0), (0.0, 1.0)], [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_cone_membership_refuses_non_finite_points(rays, bad):
+    # one non-finite point in a batched solve would poison the answers of the others
+    with pytest.raises(ValueError, match="finite"):
+        KDescriptor.cone(rays).members([(1.0, 0.5), (bad, 0.0)])
 
 
 # ---------------------------------------------------------------------------

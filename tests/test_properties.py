@@ -8,8 +8,11 @@ Constant-coefficient exp, log, invert and compose return constant operators
 and agree with the dense matrix route.  The cloud checks give the verdicts,
 witnesses and bit-identical eigenvalues of a per-point reference written
 here with plain loops.  Moment and grid verdicts do not change when the
-operator is scaled by c > 0.  The numpy matrix exponential agrees with
-scipy's in every Pade branch and is exact where the answer is.  The time grid
+operator is scaled by c > 0.  Cone membership does not change when the
+points are scaled by 2^j or when the coordinates of rays and points are
+permuted, and its nonnegative least squares agrees with scipy's.  The numpy
+matrix exponential agrees with scipy's in every Pade branch and is exact
+where the answer is.  The time grid
 of `pospres curve` is numpy.linspace's, bit for bit.  Every test is derandomized with a bounded example
 count, so the suite stays deterministic.
 """
@@ -59,6 +62,8 @@ from pospres.preserver import (
     INCONCLUSIVE,
     PASS,
     KDescriptor,
+    _in_cone,
+    _nnls_residual,
     check_preserver_halfline,
     check_preserver_rn,
     coefficient_sequence,
@@ -312,7 +317,7 @@ def ref_contains(K, x):
     if K.variant == "cone":
         from scipy.optimize import nnls
         resid = nnls(np.array(K.data, dtype=float).T, np.asarray(x, dtype=float))[1]
-        return resid <= 1e-9 * max(1.0, float(np.linalg.norm(x)))
+        return resid <= 1e-9 * float(np.linalg.norm(x))
     if K.variant == "striphalf":
         return not x[-1] < 0 and all(lo <= xi <= hi for xi, (lo, hi) in zip(x[:-1], K.data))
     if K.variant == "lattice":
@@ -545,6 +550,25 @@ def test_cloud_membership_matches_scalar_rule(kind, data):
 
 
 @SETTINGS
+@given(data=st.data(), j=st.integers(-40, 40))
+def test_cone_membership_is_invariant_under_scaling_by_powers_of_two(data, j):
+    # scaling by 2^j is exact, so the relative threshold gives the same answer bit for bit
+    K, special = data.draw(regions("cone"))
+    X = np.array([(0.0,) * K.n] + special + data.draw(clouds(K.n)))
+    assert K.members(2.0 ** j * X).tolist() == K.members(X).tolist()
+
+
+@SETTINGS
+@given(data=st.data())
+def test_cone_membership_is_invariant_under_permuting_coordinates(data):
+    K, special = data.draw(regions("cone"))
+    pts = special + data.draw(clouds(K.n))
+    perm = data.draw(st.permutations(range(K.n)))
+    P = KDescriptor.cone([[ray[i] for i in perm] for ray in K.data])
+    assert P.members([[x[i] for i in perm] for x in pts]).tolist() == K.members(pts).tolist()
+
+
+@SETTINGS
 @given(st.integers(1, 2).flatmap(lambda n: st.tuples(
     cloud_operators(n, 4),
     st.lists(small_polys(n, degree=1).map(lambda p: p * p), min_size=1, max_size=3),
@@ -660,3 +684,58 @@ def test_curve_grid_is_linspace_bit_for_bit(ends, m):
     with np.errstate(all="ignore"):  # an overflowing hi - lo gives inf and nan in both
         expected = np.linspace(lo, hi, m).tolist()
     assert [t.hex() for t in _linspace(lo, hi, m)] == [t.hex() for t in expected]
+
+
+# ---------------------------------------------------------------------------
+# nonnegative least squares against scipy's
+# ---------------------------------------------------------------------------
+
+def nnls_corpus(seed, cones=150, per_cone=20):
+    """(rays as columns, points) pairs: k <= n + 3 rays in R^n, n <= 4, half
+    with singular values spread over up to 8 decades, 3 in 10 with a last ray
+    that is a combination of one or two others; the points are the apex, points
+    near a face, just off one and far from the cone."""
+    rng = np.random.default_rng(seed)
+    for _ in range(cones):
+        n = int(rng.integers(1, 5))
+        k = int(rng.integers(1, n + 4))
+        U, s, Vt = np.linalg.svd(rng.normal(size=(n, k)), full_matrices=False)
+        cond = 10.0 ** rng.uniform(0.0, 8.0) if rng.random() < 0.5 else 1.0
+        A = U @ np.diag(np.geomspace(1.0, 1.0 / cond, len(s))) @ Vt
+        if k >= 2 and rng.random() < 0.3:
+            i, j = rng.integers(k - 1, size=2)
+            A[:, -1] = A[:, i] + rng.choice([2.0, 0.5, -2.0]) * A[:, j]
+        pts = [np.zeros(n)]
+        for _ in range(per_cone):
+            on = A @ (rng.uniform(0.0, 3.0, k) * (rng.random(k) < 0.6))
+            kind = rng.integers(3)
+            if kind == 0:
+                scale = 10.0 ** rng.uniform(-14, -6) * np.linalg.norm(on)
+                pts.append(on + scale * rng.normal(size=n))
+            elif kind == 1:
+                pts.append(on - 10.0 ** rng.uniform(-13, -5) * A[:, rng.integers(k)])
+            else:
+                pts.append(10.0 ** rng.uniform(-3, 3) * rng.normal(size=n))
+        yield A, np.array(pts)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_nnls_residual_and_cone_membership_match_scipy(seed):
+    from scipy.optimize import nnls
+
+    decided = 0
+    for A, X in nnls_corpus(seed):
+        sv = np.linalg.svd(A, compute_uv=False)
+        # the residual is as ill-conditioned as the ray set: both solvers
+        # carry an error of about eps * cond * |b| (at most 0.41 of this bound on seeds 0-19)
+        cond = sv[0] / sv[sv > 1e-12 * sv[0]].min()
+        tol = max(1e-12, np.finfo(float).eps * cond)
+        inside = _in_cone(X, A.T)
+        for b, got in zip(X, inside):
+            want = nnls(A, b)[1]
+            assert abs(_nnls_residual(A, b) - want) <= tol * max(1.0, np.linalg.norm(b))
+            thresh = 1e-9 * np.linalg.norm(b)
+            if not (thresh > 0.0 and abs(want - thresh) <= 1e-6 * thresh):
+                assert got == (want <= thresh)
+                decided += 1
+    assert decided >= 3000
