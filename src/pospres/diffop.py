@@ -8,8 +8,11 @@ restriction on the graded basis.  A constant-coefficient operator is its
 sequence s_alpha = alpha! q_alpha, composed by binomial convolution, so its
 composition, inverse, exponential and logarithm are exact finite series in
 the sequence ring of ``momseq``.  Other operators go through the finite
-matrix restrictions, exact on the restricted space; the unique coefficient
-table of a matrix is recovered by a graded recursion (``canonical_from_action``).
+matrix restrictions, exact on the restricted space.  Both directions, the
+matrix of a coefficient table (``matrix_rep``) and the unique coefficient
+table of a matrix (``canonical_from_action``, a graded recursion one degree
+level at a time), are gathers through one cached table of the pairs
+beta <= alpha (``polyalg.pair_index``); no Poly is built before the result.
 """
 
 from __future__ import annotations
@@ -23,13 +26,13 @@ from .polyalg import (
     DimensionMismatchError,
     MultiIndex,
     Poly,
+    graded_basis,
     graded_key,
+    hankel_index,
     iter_multiindices,
-    iter_multiindices_leq,
     mi_degree,
     mi_factorial,
-    mi_perm,
-    mi_sub,
+    pair_index,
     format_index,
     format_poly,
     read_records,
@@ -293,58 +296,63 @@ def apply(T: DiffOp, p: Poly) -> Poly:
     return out
 
 
+def _act(Q: np.ndarray, basis: BasisMap) -> np.ndarray:
+    """Matrix of sum_beta q_beta d^beta, where Q[beta, gamma] is the x^gamma term of q_beta.
+
+    The pair (alpha, beta) of ``pair_index`` sends Q[beta, gamma] * alpha!/(alpha-beta)!
+    to row gamma + alpha - beta of column alpha; each entry adds its terms in graded
+    order of beta, as ``apply`` does.
+    """
+    import numpy as np
+    alpha, beta, diff, perm = pair_index(basis.n, basis.d)
+    W = Q[beta] * perm[:, None]
+    at = hankel_index(basis.n, basis.d)[diff] * basis.dim + alpha[:, None]
+    keep = W != 0.0  # Q vanishes above each q_beta's degree, so kept rows stay in the basis
+    return np.bincount(at[keep], W[keep], basis.dim ** 2).reshape(basis.dim, basis.dim)
+
+
 def matrix_rep(T: DiffOp, d: int) -> OpMatrix:
     """Matrix of T on R[x]_{<=d}; requires a degree-preserving coefficient table."""
     import numpy as np
     if not T.degree_preserving:
         raise DegreeBoundError("operator does not preserve degree; no matrix restriction")
     T._require_order(d, "matrix_rep")
-    basis = BasisMap(T.n, d)
-    M = np.zeros((basis.dim, basis.dim))
-    for j, alpha in enumerate(basis.indices):
-        M[:, j] = basis.poly_to_vec(apply(T, Poly.monomial(T.n, alpha)))
-    return OpMatrix(basis, M)
+    basis = graded_basis(T.n, d)
+    Q = np.zeros((basis.dim, basis.dim))
+    for beta, q in T.coeffs.items():
+        if mi_degree(beta) <= d:
+            for gamma, c in q.terms.items():
+                Q[basis.index_of(beta), basis.index_of(gamma)] = c
+    return OpMatrix(basis, _act(Q, basis))
 
 
 def canonical_from_action(action: OpMatrix, tol: float = 1e-9) -> DiffOp:
     """Recover the unique coefficient table q_alpha from a matrix restriction.
 
     Graded recursion: T x^alpha = sum_{beta <= alpha} q_beta * alpha!/(alpha-beta)!
-    * x^{alpha-beta}, so q_alpha is determined once all strictly lower-degree
-    coefficients are known.  Coefficient mass of degree > |alpha| below
-    tol * max(1, |M|_inf) is discarded as numerical noise; anything larger
-    means the matrix is not the restriction of a degree-preserving operator
-    and raises DegreeBoundError.
+    * x^{alpha-beta}, so the q_alpha of degree k are column alpha of M minus the
+    action of the lower degrees, times 1/alpha!.  Their terms of degree > |alpha|
+    are M's strictly lower graded blocks times 1/alpha!: below tol * max|M| they
+    are discarded as numerical noise; anything larger means the matrix is not the
+    restriction of a degree-preserving operator and raises DegreeBoundError.
     """
     import numpy as np
-    basis = action.basis
-    n = basis.n
-    scale = max(1.0, float(np.max(np.abs(action.entries))))
-    coeffs: dict = {}
-    for alpha in basis.indices:
-        img = basis.vec_to_poly(action.entries[:, basis.index_of(alpha)])
-        resid = img
-        for beta in iter_multiindices_leq(alpha):
-            if beta == alpha or beta not in coeffs:
-                continue
-            factor = mi_perm(alpha, beta)
-            resid = resid - coeffs[beta] * Poly.monomial(n, mi_sub(alpha, beta), float(factor))
-        q = resid * (1.0 / mi_factorial(alpha))
-        kept, bad = {}, 0.0
-        bound = mi_degree(alpha)
-        for e, c in q.terms.items():
-            if mi_degree(e) > bound:
-                bad = max(bad, abs(c))
-            else:
-                kept[e] = c
-        if bad > tol * scale:
-            raise DegreeBoundError(
-                f"recovered q_{alpha} has degree-{bound}-violating mass {bad:.3e}; "
-                "matrix is not the restriction of a degree-preserving operator")
-        q = Poly(n, kept)
-        if not q.is_zero():
-            coeffs[alpha] = q
-    return DiffOp(n, coeffs, max_order=basis.d)
+    basis, M = action.basis, action.entries
+    deg = np.array([mi_degree(a) for a in basis.indices])
+    inv_fact = np.array([1.0 / mi_factorial(a) for a in basis.indices])
+    mass = np.where(deg[:, None] > deg, np.abs(M) * inv_fact, 0.0).max(axis=0)
+    if mass.max() > tol * np.abs(M).max():
+        j = mass.argmax()
+        raise DegreeBoundError(
+            f"recovered q_{basis.indices[j]} has degree-{deg[j]}-violating mass {mass[j]:.3e}; "
+            "matrix is not the restriction of a degree-preserving operator")
+    Q = np.zeros_like(M)
+    for k in range(basis.d + 1):
+        level = deg == k
+        Q[level] = np.where(deg <= k, ((M - _act(Q, basis))[:, level] * inv_fact[level]).T, 0.0)
+    coeffs = {a: Poly(basis.n, {basis.indices[j]: row[j] for j in np.flatnonzero(row)})
+              for a, row in zip(basis.indices, Q) if row.any()}
+    return DiffOp(basis.n, coeffs, max_order=basis.d)
 
 
 def _sequence(T: DiffOp, d: int):
@@ -376,13 +384,20 @@ def compose(T: DiffOp, S: DiffOp, d: int) -> DiffOp:
     return canonical_from_action(OpMatrix(mt.basis, mt.entries @ ms.entries))
 
 
+# largest max|M_T M_B - I| that ``invert`` accepts on the matrix route; the
+# benchmark's well-posed flows give 1e-14, an operator with condition number
+# 6e14 on degree 6 gives 4e-3
+INVERSE_RESIDUAL = 1e-8
+
+
 def invert(T: DiffOp, d: int) -> DiffOp:
     """Two-sided inverse of T on R[x]_{<=d}.
 
     A constant-coefficient T = q_0 (e + N) has the finite Neumann series
     sum_k (-1)^k N^{*k} / q_0 in the sequence ring.  Otherwise the degree-d
     matrix restriction is inverted and the coefficient table recovered by
-    ``canonical_from_action``.
+    ``canonical_from_action``; a result B with max|M_T M_B - I| above
+    INVERSE_RESIDUAL raises ArithmeticError.
     """
     if T.q0 == 0.0:
         raise NotInvertibleError("q_0 = 0: operator has no inverse")
@@ -397,7 +412,13 @@ def invert(T: DiffOp, d: int) -> DiffOp:
         raise NotInvertibleError(
             f"matrix restriction to degree {d} is singular; "
             "operator is not invertible on this restriction")
-    return canonical_from_action(OpMatrix(M.basis, inv))
+    B = canonical_from_action(OpMatrix(M.basis, inv))
+    r = float(np.max(np.abs(M.entries @ matrix_rep(B, d).entries - np.eye(M.basis.dim))))
+    if r > INVERSE_RESIDUAL:
+        raise ArithmeticError(
+            f"inverse on degree {d} is inaccurate: max |M_T M_B - I| = {r:.3e} "
+            f"exceeds {INVERSE_RESIDUAL:g}; the restriction is too ill-conditioned")
+    return B
 
 
 def exp_op(A: DiffOp, t: float, d: int) -> DiffOp:

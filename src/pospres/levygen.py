@@ -72,10 +72,15 @@ class LevyTriple:
             raise DimensionMismatchError("sigma must be square")
         if b.shape != (n,):
             raise DimensionMismatchError("drift vector has wrong length")
-        scale = max(1.0, float(np.max(np.abs(sigma))))
-        if np.max(np.abs(sigma - sigma.T)) > 1e-12 * scale:
+        if not np.isfinite(sigma).all():
+            raise ValueError("sigma must be finite")
+        # both tests read sigma / max|sigma|, so acceptance does not change under
+        # sigma -> c sigma, c > 0; sigma = 0 is valid
+        scale = float(np.max(np.abs(sigma)))
+        unit = sigma / scale if scale > 0.0 else sigma
+        if np.max(np.abs(unit - unit.T)) > 1e-12:
             raise ValueError("sigma must be symmetric")
-        if float(np.linalg.eigvalsh(sigma)[0]) < -1e-12 * scale:
+        if float(np.linalg.eigvalsh(unit)[0]) < -1e-12:
             raise ValueError("sigma must be positive semidefinite")
         if self.nu is not None and self.nu.n != n:
             raise DimensionMismatchError("jump measure has wrong dimension")

@@ -12,7 +12,8 @@ polynomials of degree <= d.  That ordering makes the matrix of any
 constant-coefficient differential operator triangular with the constant
 term on the diagonal, which the operator-algebra layer relies on for
 logarithms and exactness arguments.  The shared index tables of that basis
-(``graded_basis``, the Hankel tables of ``hankel_index``) and the evaluation
+(``graded_basis``, the Hankel tables of ``hankel_index``, the pairs
+beta <= alpha of ``pair_index``) and the evaluation
 of polynomials over whole point clouds (``evaluate``) live here too; they
 import numpy when called, so the dictionary arithmetic loads without it.
 """
@@ -381,6 +382,28 @@ def hankel_index(n: int, d: int, shift: MultiIndex | None = None) -> np.ndarray:
                   for b in basis.indices], dtype=np.intp)
     H.flags.writeable = False
     return H
+
+
+@functools.lru_cache(maxsize=256)
+def pair_index(n: int, d: int) -> tuple:
+    """Every pair beta <= alpha with |alpha| <= d, beta in graded order outermost.
+
+    Read-only arrays (alpha, beta, diff, perm): the graded indices of alpha, beta
+    and alpha - beta, and the falling factorial alpha!/(alpha-beta)!, so that
+    d^beta x^alpha = perm x^diff.
+    """
+    import numpy as np
+    basis = graded_basis(n, d)
+    deg = np.array([mi_degree(a) for a in basis.indices])
+    counts = np.searchsorted(deg, d - deg, side="right")  # alpha - beta: degree <= d - |beta|
+    beta = np.repeat(np.arange(basis.dim), counts)
+    diff = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    alpha = hankel_index(n, d)[beta, diff]
+    perm = np.array([float(mi_perm(basis.indices[a], basis.indices[b]))
+                     for a, b in zip(alpha, beta)])
+    for table in (alpha, beta, diff, perm):
+        table.flags.writeable = False
+    return alpha, beta, diff, perm
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,14 @@ def test_exit_code_usage_error(run_cli, run_here):
         assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
+def test_inaccurate_inverse_exits_2(run_cli):
+    cp = run_cli("invert", "--op", "data/illcond.op", "--d", "6")
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    assert cp.stderr.startswith("error: inverse on degree 6 is inaccurate")
+    assert "Traceback" not in cp.stderr
+
+
 @pytest.mark.parametrize("spaced, joined, code", [
     (["exp", "--op", "data/heat.op", "--d", "2", "--t", "-1e-3"],
      ["exp", "--op", "data/heat.op", "--d", "2", "--t=-1e-3"], 0),

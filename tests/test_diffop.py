@@ -1,11 +1,21 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pospres import diffop
-from pospres.polyalg import BasisMap, Poly, parse_poly
+from pospres.polyalg import (
+    BasisMap,
+    Poly,
+    iter_multiindices,
+    iter_multiindices_leq,
+    mi_factorial,
+    mi_perm,
+    mi_sub,
+    parse_poly,
+)
 from pospres.diffop import (
     DegreeBoundError,
     DiffOp,
@@ -179,6 +189,103 @@ def test_canonical_rejects_non_graded_matrix():
 
 
 # ---------------------------------------------------------------------------
+# matrix_rep and canonical_from_action against the Poly-dictionary algorithms
+# they replaced, kept here as references
+# ---------------------------------------------------------------------------
+
+def ref_matrix_rep(T: DiffOp, d: int) -> np.ndarray:
+    """Column alpha is apply(T, x^alpha), one Poly per basis monomial."""
+    basis = BasisMap(T.n, d)
+    M = np.zeros((basis.dim, basis.dim))
+    for j, alpha in enumerate(basis.indices):
+        M[:, j] = basis.poly_to_vec(apply(T, Poly.monomial(T.n, alpha)))
+    return M
+
+
+def ref_canonical_from_action(action: OpMatrix, tol: float = 1e-9) -> DiffOp:
+    """The graded recursion on Poly dictionaries, with its max(1, max|M|) floor."""
+    basis, n = action.basis, action.basis.n
+    scale = max(1.0, float(np.max(np.abs(action.entries))))
+    coeffs = {}
+    for alpha in basis.indices:
+        resid = basis.vec_to_poly(action.entries[:, basis.index_of(alpha)])
+        for beta in iter_multiindices_leq(alpha):
+            if beta != alpha and beta in coeffs:
+                resid = resid - coeffs[beta] * Poly.monomial(
+                    n, mi_sub(alpha, beta), float(mi_perm(alpha, beta)))
+        q = resid * (1.0 / mi_factorial(alpha))
+        kept = {e: c for e, c in q.terms.items() if sum(e) <= sum(alpha)}
+        bad = max((abs(c) for e, c in q.terms.items() if e not in kept), default=0.0)
+        if bad > tol * scale:
+            raise DegreeBoundError(f"q_{alpha} has mass {bad:.3e} above its degree")
+        if kept:
+            coeffs[alpha] = Poly(n, kept)
+    return DiffOp(n, coeffs, max_order=basis.d)
+
+
+def random_graded_operator(rng, n: int, d: int) -> DiffOp:
+    coeffs = {}
+    for alpha in iter_multiindices(n, d):
+        if rng.random() < 0.5:
+            coeffs[alpha] = Poly(n, {g: rng.uniform(-1.0, 1.0)
+                                     for g in iter_multiindices(n, sum(alpha))
+                                     if rng.random() < 0.4})
+    return DiffOp(n, coeffs)
+
+
+def round_trip_error(R: DiffOp, X: np.ndarray) -> float:
+    """Relative Frobenius backward error of recovering R from X."""
+    return np.linalg.norm(matrix_rep(R, R.max_order).entries - X) / np.linalg.norm(X)
+
+
+def recovered_or_raise(action: OpMatrix, recover):
+    try:
+        return recover(action)
+    except DegreeBoundError:
+        return None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_matrix_route_matches_poly_reference(seed):
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(seed)
+    raised = 0
+    for _ in range(50):
+        n = int(rng.integers(1, 4))
+        d = int(rng.integers(0, {1: 9, 2: 7, 3: 5}[n]))
+        T = random_graded_operator(rng, n, d)
+        M = matrix_rep(T, d)
+        assert np.array_equal(M.entries, ref_matrix_rep(T, d))
+        A, I = M.entries, np.eye(M.basis.dim)
+        s = rng.uniform(0.1, 2.0)
+        exact = [A, expm(s * A / max(1.0, np.max(np.abs(A)))), A @ A, np.linalg.inv(A + 5 * I)]
+        # lower-block dust below and above tol; at max|X| >= 1 the reference's floor is inactive
+        lower = np.subtract.outer([sum(a) for a in M.basis.indices],
+                                  [sum(a) for a in M.basis.indices]) > 0
+        dusty = [X + eps * np.max(np.abs(X)) * lower * rng.uniform(-1.0, 1.0, X.shape)
+                 for X in exact if np.max(np.abs(X)) >= 1.0 for eps in (1e-13, 1e-6)]
+        for X in exact + dusty:
+            action = OpMatrix(M.basis, X)
+            got = recovered_or_raise(action, canonical_from_action)
+            want = recovered_or_raise(action, ref_canonical_from_action)
+            assert (got is None) == (want is None)
+            if got is None:
+                raised += 1
+                continue
+            scale = np.max(np.abs(X))
+            for alpha in set(got.coeffs) | set(want.coeffs):
+                q, r = got.coefficient(alpha), want.coefficient(alpha)
+                for g in set(q.terms) | set(r.terms):
+                    assert mi_factorial(alpha) * abs(q.coeff(g) - r.coeff(g)) <= 1e-12 * scale
+            if any(X is Y for Y in exact) and scale > 0:
+                # the inverses of A + 5I reach 2.3e-15 (the reference 7.1e-15),
+                # every other matrix 1.7e-16
+                assert round_trip_error(got, X) <= max(1e-15, round_trip_error(want, X))
+    assert raised > 0
+
+
+# ---------------------------------------------------------------------------
 # compose
 # ---------------------------------------------------------------------------
 
@@ -301,6 +408,17 @@ def test_constant_algebra_keeps_truncation_guard():
                  lambda: compose(T, T, 4)):
         with pytest.raises(TruncationError):
             call()
+
+
+def test_invert_refuses_an_inaccurate_inverse():
+    # condition number 6.1e14 on degree 6: the matrix route's B has
+    # max|M_T M_B - I| = 3.9e-3, which once came back without an error
+    T = parse_operator((Path(__file__).parent / "data" / "illcond.op").read_text())
+    with pytest.raises(ArithmeticError, match=r"max \|M_T M_B - I\| = 3\.9\d*e-03"):
+        invert(T, 6)
+    B = invert(T, 4)  # lower degrees stay well-conditioned and pass the gate
+    M = matrix_rep(T, 4).entries
+    assert np.max(np.abs(M @ matrix_rep(B, 4).entries - np.eye(len(M)))) <= diffop.INVERSE_RESIDUAL
 
 
 def test_invert_detects_kernel_at_truncation():

@@ -79,6 +79,24 @@ def test_levy_sigma_must_be_psd():
         LevyTriple(0.0, [[0.0, 1.0], [0.0, 0.0]], [0.0, 0.0])
 
 
+@pytest.mark.parametrize("sigma, message", [
+    # a max(1, max|sigma|) floor accepted both: the first as a negative diffusion
+    # q_2 = -2.5e-13, the second as symmetric
+    ([[-5e-13]], "positive semidefinite"),
+    ([[0.0, 1e-13], [0.0, 0.0]], "symmetric"),
+    ([[math.inf]], "finite"),
+    ([[1.0, math.nan], [math.nan, 1.0]], "finite"),
+])
+def test_levy_sigma_tests_are_relative_to_its_largest_entry(sigma, message):
+    with pytest.raises(ValueError, match=message):
+        LevyTriple(0.0, sigma, [0.0] * len(sigma))
+
+
+def test_levy_zero_sigma_is_valid():
+    A = generator_from_levy(LevyTriple(0.0, [[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0]), 2)
+    assert A.coeffs == {}
+
+
 def test_levy_jump_generator_exponentiates_to_poisson():
     # A = D(moments of delta_c) - identity-part: exp(tA) is the Poisson mixture
     c, t = 2.0, 0.7

@@ -27,10 +27,20 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from pospres.cli import _linspace
-from pospres.polyalg import Poly, evaluate, iter_multiindices, mi_factorial, parse_poly
+from pospres.polyalg import (
+    Poly,
+    evaluate,
+    graded_basis,
+    iter_multiindices,
+    mi_factorial,
+    parse_poly,
+)
 from pospres.diffop import (
+    DegreeBoundError,
     DiffOp,
+    OpMatrix,
     apply,
+    canonical_from_action,
     compose,
     exp_op,
     expm as pade_expm,
@@ -739,3 +749,129 @@ def test_nnls_residual_and_cone_membership_match_scipy(seed):
                 assert got == (want <= thresh)
                 decided += 1
     assert decided >= 3000
+
+
+# ---------------------------------------------------------------------------
+# operator <-> matrix: scaling and permutation of variables
+# ---------------------------------------------------------------------------
+
+def recovered(X, basis):
+    try:
+        return canonical_from_action(OpMatrix(basis, X))
+    except DegreeBoundError:
+        return None
+
+
+@SETTINGS
+@given(graded_generators(), st.booleans(), st.none() | st.floats(-14.0, -6.0),
+       st.integers(0, 2 ** 32 - 1), st.integers(-40, 40))
+def test_coefficient_recovery_is_invariant_under_scaling_by_powers_of_two(
+        case, exponentiate, dust, seed, j):
+    # the degree test compares M's lower blocks with tol * max|M|, and scaling by
+    # 2^j is exact, so the decision and every recovered coefficient scale bit for bit
+    A, d = case
+    M = matrix_rep(A, d)
+    X = pade_expm(0.5 * M.entries) if exponentiate else M.entries
+    if dust is not None:
+        deg = np.array([sum(a) for a in M.basis.indices])
+        noise = np.random.default_rng(seed).uniform(-1.0, 1.0, X.shape)
+        X = X + 10.0 ** dust * np.max(np.abs(X)) * (deg[:, None] > deg) * noise
+    want = recovered(X, M.basis)
+    for k in (j, -40, 40):
+        got = recovered(2.0 ** k * X, M.basis)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.coeffs == (want * 2.0 ** k).coeffs
+
+
+def test_coefficient_recovery_refuses_small_matrix_with_dust_below_one():
+    # max|M| = 1e-3 and lower-block mass 1e-11 lie between tol * max|M| = 1e-12 and
+    # tol = 1e-9: a max(1, max|M|) floor let it through, the relative test refuses it
+    basis = graded_basis(1, 2)
+    M = 1e-3 * np.eye(3)
+    M[1, 0] = 1e-11
+    with pytest.raises(DegreeBoundError, match=r"q_\(0,\)"):
+        canonical_from_action(OpMatrix(basis, M))
+    M[1, 0] = 1e-13
+    assert canonical_from_action(OpMatrix(basis, M)).coeffs == {(0,): Poly.constant(1, 1e-3)}
+
+
+def permute_index(alpha, perm):
+    return tuple(alpha[i] for i in perm)
+
+
+def permute_operator(T, perm):
+    """T with its variables renamed by perm, a shift-mixture certificate included."""
+    coeffs = {permute_index(a, perm): Poly(T.n, {permute_index(g, perm): c
+                                                  for g, c in q.terms.items()})
+              for a, q in T.coeffs.items()}
+    cert = T.certificate
+    if cert is not None:
+        cert = (cert[0], DiscreteMeasure([(permute_index(x, perm), w) for x, w in cert[1].atoms]))
+    return DiffOp(T.n, coeffs, max_order=T.max_order,
+                  allow_degree_excess=not T.degree_preserving, certificate=cert)
+
+
+@SETTINGS
+@given(graded_generators(), st.data())
+def test_matrix_route_is_equivariant_under_permuting_variables(case, data):
+    A, d = case
+    perm = data.draw(st.permutations(range(A.n)))
+    basis = graded_basis(A.n, d)
+    P = np.ix_(*[[basis.index_of(permute_index(a, perm)) for a in basis.indices]] * 2)
+    M = matrix_rep(A, d).entries
+    # the same terms, summed over beta in another graded order
+    assert np.max(np.abs(matrix_rep(permute_operator(A, perm), d).entries[P] - M)) \
+        <= 1e-15 * np.max(np.abs(M))
+    for X in (M, pade_expm(0.5 * M)):
+        Xp = np.empty_like(X)
+        Xp[P] = X
+        got = canonical_from_action(OpMatrix(basis, Xp))
+        want = permute_operator(canonical_from_action(OpMatrix(basis, X)), perm)
+        for alpha in set(got.coeffs) | set(want.coeffs):
+            q, r = got.coefficient(alpha), want.coefficient(alpha)
+            for g in set(q.terms) | set(r.terms):
+                assert abs(q.coeff(g) - r.coeff(g)) <= 1e-15 * np.max(np.abs(X))
+
+
+@SETTINGS
+@given(rn_cases(), st.data())
+def test_moment_verdicts_are_invariant_under_permuting_variables(case, data):
+    T, d, ys = case
+    perm = data.draw(st.permutations(range(T.n)))
+    v = check_preserver_rn(T, d, ys)
+    w = check_preserver_rn(permute_operator(T, perm), d, [permute_index(y, perm) for y in ys])
+    assert (w.status, len(w.witnesses)) == (v.status, len(v.witnesses))
+    assert [x.y for x in w.witnesses] == [permute_index(x.y, perm) for x in v.witnesses]
+
+
+@st.composite
+def sigmas(draw):
+    """Gram matrices, some singular, with up to two entries moved by 1e-16 to 1e-8
+    of the largest entry (which can break symmetry or definiteness), at any scale."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    B = rng.normal(size=(n, n)) * (rng.random(n) < 0.7)
+    sigma = B @ B.T
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = rng.integers(n, size=2)
+        sigma[i, j] += draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(
+            st.floats(-16.0, -8.0)) * max(1.0, np.max(np.abs(sigma)))
+    return sigma * 10.0 ** draw(st.floats(-20.0, 20.0))
+
+
+def accepts_sigma(sigma):
+    try:
+        LevyTriple(0.0, sigma, [0.0] * len(sigma))
+    except ValueError:
+        return False
+    return True
+
+
+@SETTINGS
+@given(sigmas(), st.integers(-40, 40))
+@example(np.array([[-5e-13]]), 0)
+@example(np.array([[0.0, 1e-13], [0.0, 0.0]]), 0)
+def test_levy_sigma_acceptance_is_invariant_under_scaling_by_powers_of_two(sigma, j):
+    want = accepts_sigma(sigma)
+    assert all(accepts_sigma(2.0 ** k * sigma) == want for k in (j, -40, 40))
